@@ -3,10 +3,10 @@
 // determinism gate — a reduced study must render byte-identical tables
 // through the engine. Results land in BENCH_engine.json for CI trending.
 //
-// The speedup comes from batching: every engine tick delivers all queued
-// flights under one crypto::CryptoBatchScope, so the tick's RSA private
-// operations share warm Montgomery contexts instead of rebuilding them
-// per connection.
+// Both paths run the same crypto: kernel contexts are cached on the keys
+// and DH groups (crypto/mont64.hpp), not per engine tick. The network is
+// in memory, so there is no I/O for interleaving to overlap, and the
+// engine-to-sync ratio measures scheduling overhead alone.
 //
 // Knobs:
 //   IOTLS_BENCH_CONNS               interleaved connections per engine run

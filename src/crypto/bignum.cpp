@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/hex.hpp"
-#include "crypto/batch.hpp"
-#include "crypto/montgomery.hpp"
+#include "crypto/mont64.hpp"
 #include "obs/profile.hpp"
 
 namespace iotls::crypto {
@@ -284,14 +283,9 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& divisor) const {
 }
 
 BigUint BigUint::modexp(const BigUint& exp, const BigUint& m) const {
-  const obs::ProfileZone zone("crypto/modexp");
   if (m.is_zero()) throw common::CryptoError("modexp: zero modulus");
-  if (m.is_odd()) {
-    // Inside an engine tick the thread-local Mont64 context cache is warm;
-    // the result is bit-identical either way (batch.hpp).
-    if (crypto_batch_active()) return batch_modexp(*this, exp, m);
-    return Montgomery(m).pow(*this, exp);
-  }
+  if (m.is_odd()) return Mont64(m).pow(*this, exp);
+  const obs::ProfileZone zone("crypto/modexp");
   return modexp_plain(exp, m);
 }
 
@@ -393,13 +387,15 @@ bool BigUint::is_probable_prime(common::Rng& rng, int rounds) const {
     if (v < 2) return false;
   }
   for (std::uint32_t p : kSmallPrimes) {
-    if (mod(BigUint(p)).is_zero()) return *this == BigUint(p);
+    if (mod_small(p) == 0) return *this == BigUint(p);
   }
 
   // Write n-1 = d * 2^r.
   const BigUint one(1);
   const BigUint two(2);
   const BigUint n_minus_1 = sub(one);
+  const BigUint witness_span = n_minus_1.sub(two);
+  const Mont64 mont(*this);  // one context for every round
   BigUint d = n_minus_1;
   std::size_t r = 0;
   while (!d.is_odd()) {
@@ -408,8 +404,8 @@ bool BigUint::is_probable_prime(common::Rng& rng, int rounds) const {
   }
 
   for (int round = 0; round < rounds; ++round) {
-    const BigUint a = two.add(random_below(rng, n_minus_1.sub(two)));
-    BigUint x = a.modexp(d, *this);
+    const BigUint a = two.add(random_below(rng, witness_span));
+    BigUint x = mont.pow(a, d);
     if (x == one || x == n_minus_1) continue;
     bool composite = true;
     for (std::size_t i = 0; i + 1 < r; ++i) {
@@ -431,6 +427,14 @@ BigUint BigUint::generate_prime(common::Rng& rng, std::size_t bits) {
     if (!candidate.is_odd()) candidate = candidate.add(BigUint(1));
     if (candidate.is_probable_prime(rng, 12)) return candidate;
   }
+}
+
+std::uint32_t BigUint::mod_small(std::uint32_t d) const {
+  std::uint64_t rem = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;) {
+    rem = ((rem << 32) | limbs_[i]) % d;
+  }
+  return static_cast<std::uint32_t>(rem);
 }
 
 std::uint64_t BigUint::low_u64() const {

@@ -1,8 +1,8 @@
 // Arbitrary-precision unsigned integers for the RSA/DHE substrate.
 //
 // Schoolbook add/sub/mul/div over 32-bit limbs; modular exponentiation for
-// odd moduli runs on the Montgomery kernel (crypto/montgomery.hpp), with
-// the schoolbook square-and-multiply kept as the even-modulus fallback and
+// odd moduli runs on the Mont64 kernel (crypto/mont64.hpp), with the
+// schoolbook square-and-multiply kept as the even-modulus path and the
 // cross-check oracle. `bench_crypto` and `bench_ablation_keysize` quantify
 // the costs.
 #pragma once
@@ -60,13 +60,13 @@ class BigUint {
   [[nodiscard]] BigUint shift_right(std::size_t bits) const;
 
   /// Modular exponentiation: this^exp mod m (m > 0). Odd moduli (every
-  /// RSA/DH modulus) dispatch to Montgomery fixed-window exponentiation;
-  /// even moduli fall back to the schoolbook path below.
+  /// RSA/DH modulus) run on a fresh Mont64 context; even moduli take the
+  /// schoolbook path below.
   [[nodiscard]] BigUint modexp(const BigUint& exp, const BigUint& m) const;
 
   /// Schoolbook square-and-multiply with a full division per step — the
-  /// fallback for even moduli and the cross-check oracle for the
-  /// Montgomery kernel (tests, bench_crypto baselines).
+  /// even-modulus path and the cross-check oracle for the Mont64 kernel
+  /// (tests, bench_crypto baselines).
   [[nodiscard]] BigUint modexp_plain(const BigUint& exp, const BigUint& m) const;
 
   /// Greatest common divisor.
@@ -89,10 +89,11 @@ class BigUint {
   [[nodiscard]] std::uint64_t low_u64() const;
 
  private:
-  friend class Montgomery;  // limb-level access for the reduction kernel
-  friend class Mont64;      // 64-bit-limb kernel (batched engine dispatch)
+  friend class Mont64;  // limb-level access for the modexp kernel
 
   void trim();
+  /// this mod d for a nonzero single-limb divisor, without allocating.
+  [[nodiscard]] std::uint32_t mod_small(std::uint32_t d) const;
 
   std::vector<std::uint32_t> limbs_;
 };

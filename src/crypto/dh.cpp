@@ -21,10 +21,8 @@ namespace {
 // modulus ((g^x)^y == (g^y)^x mod n), so key agreement works regardless of
 // primality; the simulation does not rely on the group's hardness.
 DhParams make_params(const char* prime_hex) {
-  DhParams params;
-  params.p = BigUint::from_hex(prime_hex);
-  params.g = BigUint(2);
-  return params;
+  const BigUint p = BigUint::from_hex(prime_hex);
+  return DhParams{p, BigUint(2), Mont64(p)};
 }
 
 }  // namespace
@@ -56,7 +54,7 @@ DhKeyPair dh_generate(common::Rng& rng, DhGroup group) {
   // Secret in [2, p-2].
   pair.secret =
       BigUint(2).add(BigUint::random_below(rng, params.p.sub(BigUint(4))));
-  const BigUint pub = params.g.modexp(pair.secret, params.p);
+  const BigUint pub = params.mont.pow(params.g, pair.secret);
   pair.pub = pub.to_bytes((params.p.bit_length() + 7) / 8);
   return pair;
 }
@@ -68,7 +66,7 @@ common::Bytes dh_shared_secret(DhGroup group, const BigUint& secret,
   if (peer.is_zero() || peer >= params.p) {
     throw common::CryptoError("dh: peer public value out of range");
   }
-  const BigUint shared = peer.modexp(secret, params.p);
+  const BigUint shared = params.mont.pow(peer, secret);
   return shared.to_bytes((params.p.bit_length() + 7) / 8);
 }
 

@@ -12,6 +12,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/bignum.hpp"
+#include "crypto/mont64.hpp"
 
 namespace iotls::crypto {
 
@@ -26,10 +27,12 @@ enum class DhGroup : std::uint16_t {
 /// Human-readable group name.
 std::string dh_group_name(DhGroup group);
 
-/// The group's prime and generator (fixed safe primes per group).
+/// The group's prime and generator (fixed safe primes per group), with
+/// the kernel context for p built once alongside them.
 struct DhParams {
   BigUint p;
   BigUint g;
+  Mont64 mont;
 };
 
 const DhParams& dh_params(DhGroup group);

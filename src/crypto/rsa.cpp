@@ -11,6 +11,29 @@
 
 namespace iotls::crypto {
 
+namespace {
+
+// A context for an odd modulus; even ones (reachable only from parsed
+// bytes) stay on BigUint::modexp's schoolbook path.
+std::shared_ptr<const Mont64> context_for(const BigUint& m) {
+  return m.is_odd() ? std::make_shared<const Mont64>(m) : nullptr;
+}
+
+void build_contexts(RsaPrivateKey& key) {
+  key.mont_p = key.has_crt() ? context_for(key.p) : nullptr;
+  key.mont_q = key.has_crt() ? context_for(key.q) : nullptr;
+  key.mont_n = key.has_crt() ? nullptr : context_for(key.n);
+}
+
+// c^e mod m on the cached context when it still belongs to m.
+BigUint cached_modexp(const BigUint& c, const BigUint& e, const BigUint& m,
+                      const std::shared_ptr<const Mont64>& context) {
+  if (context != nullptr && context->modulus() == m) return context->pow(c, e);
+  return c.modexp(e, m);
+}
+
+}  // namespace
+
 common::Bytes RsaPublicKey::serialize() const {
   common::ByteWriter w;
   w.vec(n.to_bytes(), 2);
@@ -56,12 +79,20 @@ RsaPrivateKey RsaPrivateKey::parse(common::BytesView data) {
     key.qinv = BigUint::from_bytes(r.vec(2));
   }
   r.expect_end("RsaPrivateKey");
+  build_contexts(key);
   return key;
+}
+
+bool RsaPrivateKey::operator==(const RsaPrivateKey& other) const {
+  return n == other.n && e == other.e && d == other.d && p == other.p &&
+         q == other.q && dp == other.dp && dq == other.dq &&
+         qinv == other.qinv;
 }
 
 namespace {
 
 RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
+  const obs::ProfileZone zone("pki/keygen");
   const BigUint e(65537);
   const BigUint one(1);
   while (true) {
@@ -75,8 +106,16 @@ RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
     if (BigUint::gcd(e, phi) != one) continue;
     const BigUint d = BigUint::modinv(e, phi);
     RsaKeyPair pair;
-    pair.priv = RsaPrivateKey{n, e, d, p, q, d.mod(p1), d.mod(q1),
-                              BigUint::modinv(q, p)};
+    RsaPrivateKey& priv = pair.priv;
+    priv.n = n;
+    priv.e = e;
+    priv.d = d;
+    priv.p = p;
+    priv.q = q;
+    priv.dp = d.mod(p1);
+    priv.dq = d.mod(q1);
+    priv.qinv = BigUint::modinv(q, p);
+    build_contexts(priv);
     pair.pub = RsaPublicKey{n, e};
     return pair;
   }
@@ -168,11 +207,11 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
 
 BigUint rsa_private_op(const RsaPrivateKey& key, const BigUint& c) {
   const obs::ProfileZone zone("crypto/rsa_private_op");
-  if (!key.has_crt()) return c.modexp(key.d, key.n);
+  if (!key.has_crt()) return cached_modexp(c, key.d, key.n, key.mont_n);
   // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
   //         m  = m2 + q * (qinv * (m1 - m2) mod p).
-  const BigUint m1 = c.modexp(key.dp, key.p);
-  const BigUint m2 = c.modexp(key.dq, key.q);
+  const BigUint m1 = cached_modexp(c, key.dp, key.p, key.mont_p);
+  const BigUint m2 = cached_modexp(c, key.dq, key.q, key.mont_q);
   const BigUint m2p = m2.mod(key.p);
   const BigUint diff =
       m1 >= m2p ? m1.sub(m2p) : m1.add(key.p).sub(m2p);

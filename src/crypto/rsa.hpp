@@ -7,11 +7,13 @@
 // signature error rather than an unknown-issuer error.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/bignum.hpp"
+#include "crypto/mont64.hpp"
 
 namespace iotls::crypto {
 
@@ -38,13 +40,22 @@ struct RsaPrivateKey {
 
   // CRT components (populated by rsa_generate; empty on keys parsed from a
   // legacy n||e||d serialization). With them, private-key operations run as
-  // two half-size Montgomery exponentiations recombined by Garner's formula
-  // — ~4x fewer limb multiplies than a full-width exponentiation.
+  // two half-size exponentiations recombined by Garner's formula — ~4x
+  // fewer limb multiplies than a full-width exponentiation.
   BigUint p;     // first prime factor
   BigUint q;     // second prime factor
   BigUint dp;    // d mod (p-1)
   BigUint dq;    // d mod (q-1)
   BigUint qinv;  // q^-1 mod p
+
+  // Kernel contexts for p and q, or for n on a key without CRT factors,
+  // built once by rsa_generate and parse. They cache work, not key
+  // material: operator== and serialize() ignore them, copies of the key
+  // share them (immutable, so across threads too), and a private op
+  // whose context is missing or stale builds a fresh one instead.
+  std::shared_ptr<const Mont64> mont_p;
+  std::shared_ptr<const Mont64> mont_q;
+  std::shared_ptr<const Mont64> mont_n;
 
   [[nodiscard]] bool has_crt() const { return !p.is_zero() && !q.is_zero(); }
   [[nodiscard]] RsaPublicKey public_key() const { return {n, e}; }
@@ -55,7 +66,8 @@ struct RsaPrivateKey {
   /// private ops fall back to the plain d-exponent path).
   [[nodiscard]] common::Bytes serialize() const;
   static RsaPrivateKey parse(common::BytesView data);
-  bool operator==(const RsaPrivateKey& other) const = default;
+  /// Compares the key's numbers only, never its contexts.
+  bool operator==(const RsaPrivateKey& other) const;
 };
 
 struct RsaKeyPair {

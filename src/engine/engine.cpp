@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "crypto/batch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
@@ -145,9 +144,6 @@ void Engine::arena_release(std::uint32_t slot) { free_slots_.push_back(slot); }
 
 bool Engine::tick() {
   const obs::ProfileZone zone("engine/tick");
-  // One batch scope per tick: every private-key op and DH exponentiation
-  // delivered below shares warm Mont64 contexts (bit-identical results).
-  const crypto::CryptoBatchScope batch;
   ++ticks_;
   finished_this_tick_ = 0;
   bool progressed = false;

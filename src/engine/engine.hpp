@@ -12,18 +12,17 @@
 // determinism does not depend on timing):
 //
 //   Phase A (deliver): every queued client->server record is handed to its
-//     server session; replies land in the conduit's arena inbox. Because
-//     all deliveries in a tick share one `crypto::CryptoBatchScope`, the
-//     tick's RSA private operations and DH exponentiations all hit warm
-//     Montgomery contexts (crypto/mont64.hpp) — the batching win that makes
-//     interleaving pay on a single core.
+//     server session; replies land in the conduit's arena inbox. The crypto
+//     those deliveries run is the same as on the synchronous path: kernel
+//     contexts live on the keys and DH groups (crypto/mont64.hpp), not in
+//     the tick, so interleaving buys no crypto reuse of its own.
 //   Phase B (resume): every parked coroutine whose awaited record is ready
 //     resumes, typically emitting its next flight (served next tick).
 //
 // The schedule is deadlock-free by construction: the RecordIo contract
 // says a coroutine only parks when it has an undelivered flight queued, so
 // a tick that delivers nothing and resumes nothing means every chain is
-// complete. Output parity: crypto batching computes bit-identical values,
+// complete. Output parity: the crypto is the synchronous path's own,
 // the shared RecordLedger emits identical span/metric sequences per
 // connection, and drivers merge per-device results in catalog order — so
 // tables, traces, and store artifacts are byte-identical to the

@@ -28,6 +28,8 @@ TEST(BenchTrack, UnitMapsToRegressionDirection) {
   using iotls::bench_track::direction_for_unit;
   EXPECT_EQ(direction_for_unit("ms"), Direction::LowerBetter);
   EXPECT_EQ(direction_for_unit("ms/op"), Direction::LowerBetter);
+  EXPECT_EQ(direction_for_unit("ms/key"), Direction::LowerBetter);
+  EXPECT_EQ(direction_for_unit("ns/op"), Direction::LowerBetter);
   EXPECT_EQ(direction_for_unit("x"), Direction::HigherBetter);
   EXPECT_EQ(direction_for_unit("x_vs_tsv"), Direction::HigherBetter);
   EXPECT_EQ(direction_for_unit("records/s"), Direction::HigherBetter);
@@ -42,6 +44,7 @@ TEST(BenchTrack, UnitMapsToRegressionDirection) {
   EXPECT_TRUE(unit_is_relative("x_vs_tsv"));
   EXPECT_TRUE(unit_is_relative("bool"));
   EXPECT_FALSE(unit_is_relative("ms"));
+  EXPECT_FALSE(unit_is_relative("ns/op"));
   EXPECT_FALSE(unit_is_relative("records/s"));
 }
 

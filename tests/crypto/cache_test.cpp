@@ -105,6 +105,25 @@ TEST_F(CryptoCacheTest, ClearForcesRederivationWithSameResult) {
   EXPECT_TRUE(rsa_verify(kp.pub, msg, sig));
 }
 
+TEST_F(CryptoCacheTest, KeypairHitRestoresPostGenerationState) {
+  // A hit must leave the generator exactly where a real generation does,
+  // and hand back the same key with the cached pair's kernel contexts.
+  // The pinned draw is the first one after generating from seed 4242.
+  common::Rng cold(4242);
+  const RsaKeyPair generated = rsa_generate(cold, 512);  // miss
+  common::Rng warm(4242);
+  const RsaKeyPair hit = rsa_generate(warm, 512);
+  EXPECT_EQ(hit.priv, generated.priv);
+  EXPECT_EQ(hit.priv.mont_p, generated.priv.mont_p);
+  EXPECT_EQ(warm.state(), cold.state());
+
+  set_crypto_cache_enabled(false);
+  common::Rng uncached(4242);
+  EXPECT_EQ(rsa_generate(uncached, 512).priv, generated.priv);
+  EXPECT_EQ(uncached.state(), cold.state());
+  EXPECT_EQ(cold.next_u64(), 5582020276692227141ULL);
+}
+
 TEST_F(CryptoCacheTest, SwitchToggleTakesEffect) {
   EXPECT_TRUE(crypto_cache_enabled());
   set_crypto_cache_enabled(false);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
+
 namespace iotls::crypto {
 namespace {
 
@@ -144,8 +147,53 @@ TEST_F(RsaTest, LegacyPrivateKeySerializationStillParses) {
   EXPECT_FALSE(parsed.has_crt());
   EXPECT_EQ(parsed.n, priv.n);
   EXPECT_EQ(parsed.d, priv.d);
+  // Without CRT factors the private op runs modulo n, so parse caches a
+  // context for n and none for p or q.
+  ASSERT_NE(parsed.mont_n, nullptr);
+  EXPECT_EQ(parsed.mont_n->modulus(), priv.n);
+  EXPECT_EQ(parsed.mont_p, nullptr);
+  EXPECT_EQ(parsed.mont_q, nullptr);
   const auto msg = to_bytes("legacy key, same signature");
   EXPECT_EQ(rsa_sign(parsed, msg), rsa_sign(priv, msg));
+  common::Rng rng(1007);
+  const auto secret = to_bytes("legacy premaster");
+  EXPECT_EQ(rsa_decrypt(parsed, rsa_encrypt(keypair().pub, rng, secret)),
+            secret);
+}
+
+TEST_F(RsaTest, CachedContextsAreNotPartOfTheKey) {
+  // rsa_generate caches kernel contexts for p and q; they must not change
+  // the key's value or bytes. The digest pins the serialization of the key
+  // seed 1001 generates, so it also proves the key stream itself is
+  // unchanged by how modexp runs.
+  const RsaPrivateKey& priv = keypair().priv;
+  ASSERT_NE(priv.mont_p, nullptr);
+  ASSERT_NE(priv.mont_q, nullptr);
+  EXPECT_EQ(priv.mont_p->modulus(), priv.p);
+  EXPECT_EQ(priv.mont_q->modulus(), priv.q);
+  EXPECT_EQ(priv.mont_n, nullptr);
+
+  const common::Bytes bytes = priv.serialize();
+  const Sha256Digest digest = Sha256::digest(bytes);
+  EXPECT_EQ(common::hex_encode(digest),
+            "80955cf2cf165ea9b228b79c0c4b405fc0cf7fe2ab4a2f7dd321bc314f127e43");
+
+  const RsaPrivateKey parsed = RsaPrivateKey::parse(bytes);
+  EXPECT_NE(parsed.mont_p, priv.mont_p);  // its own contexts ...
+  EXPECT_EQ(parsed, priv);                // ... and still the same key
+  EXPECT_EQ(parsed.serialize(), bytes);
+
+  RsaPrivateKey bare = priv;  // no contexts: private ops build fresh ones
+  bare.mont_p = nullptr;
+  bare.mont_q = nullptr;
+  EXPECT_EQ(bare, priv);
+  EXPECT_EQ(bare.serialize(), bytes);
+  const auto msg = to_bytes("same key, same signature");
+  EXPECT_EQ(rsa_sign(bare, msg), rsa_sign(priv, msg));
+
+  RsaPrivateKey stale = priv;  // a context left behind by an edited field
+  stale.mont_p = priv.mont_q;
+  EXPECT_EQ(rsa_sign(stale, msg), rsa_sign(priv, msg));
 }
 
 TEST_F(RsaTest, CrtSignatureEqualsPlainSignature) {

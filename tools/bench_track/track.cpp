@@ -61,7 +61,9 @@ void render_lane(const Lane& lane, std::string* out) {
 
 Direction direction_for_unit(const std::string& unit) {
   if (unit == "bool") return Direction::BoolGate;
-  if (unit.rfind("ms", 0) == 0) return Direction::LowerBetter;
+  if (unit.rfind("ms", 0) == 0 || unit.rfind("ns", 0) == 0) {
+    return Direction::LowerBetter;
+  }
   if (unit == "x" || unit.rfind("x_", 0) == 0) return Direction::HigherBetter;
   if (unit.size() >= 2 && unit.compare(unit.size() - 2, 2, "/s") == 0) {
     return Direction::HigherBetter;

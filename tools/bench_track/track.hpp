@@ -4,7 +4,7 @@
 // module parses them into one TrajectoryEntry, compares it against the
 // previous entry of an append-only JSONL trajectory file, and classifies
 // every per-metric delta. The regression *direction* comes from the
-// measurement unit — "ms" lanes regress when they grow, "records/s" and
+// measurement unit — "ms" and "ns" lanes regress when they grow, "records/s" and
 // "x" lanes regress when they shrink, "bool" gates regress on any drop —
 // so new metrics are gated correctly without touching the tracker.
 //
@@ -49,7 +49,7 @@ struct TrajectoryEntry {
 
 /// How a metric's unit maps onto the regression gate.
 enum class Direction {
-  LowerBetter,   // ms and friends: growth is a regression
+  LowerBetter,   // ms, ns and friends: growth is a regression
   HigherBetter,  // throughput and speedup ratios: shrinkage is a regression
   BoolGate,      // parity flags: any drop below 1 is a regression
   Info,          // counts, sizes, fractions: tracked, never gated

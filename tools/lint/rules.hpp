@@ -24,7 +24,7 @@
 //                    the mutex still held, deadlocking the batch
 //   thread-local-across-suspension
 //                    no thread_local state (or RAII types over it: the
-//                    ProfileZone cursor, CryptoBatchScope) live on both
+//                    ProfileZone cursor) live on both
 //                    sides of a suspension point — the resume may run on a
 //                    different thread's state
 //   secret-taint     values derived from key/ticket/premaster material must
@@ -109,11 +109,10 @@ struct RuleConfig {
   std::vector<std::string> lock_types = {"lock_guard", "unique_lock",
                                          "scoped_lock", "shared_lock"};
   /// RAII types whose constructor/destructor touch thread_local state
-  /// (the ProfileZone cursor, the crypto batch depth): constructing one
-  /// before a suspension and destroying it after is a cross-thread hazard
-  /// once the engine resumes the coroutine elsewhere.
-  std::vector<std::string> thread_local_raii_types = {"ProfileZone",
-                                                      "CryptoBatchScope"};
+  /// (the ProfileZone cursor): constructing one before a suspension and
+  /// destroying it after is a cross-thread hazard once the engine resumes
+  /// the coroutine elsewhere.
+  std::vector<std::string> thread_local_raii_types = {"ProfileZone"};
 
   // ---------------------------- secret-taint ----------------------------
 
