@@ -1,6 +1,6 @@
 // Fleet lane: million-instance synthesis throughput plus scan-campaign
-// wall clock (DESIGN.md §15), with byte-parity gates across thread counts
-// and the engine knob, emitted as BENCH_fleet.json.
+// wall clock (DESIGN.md §14), with byte-parity gates across thread counts,
+// emitted as BENCH_fleet.json.
 //
 // Knobs:
 //   IOTLS_BENCH_FLEET_INSTANCES  fleet size (default 1,000,000)
@@ -8,12 +8,12 @@
 //                                (default: an 8-model vendor mix; "all"
 //                                expands the whole 40-model catalog)
 //   IOTLS_BENCH_FLEET_SAMPLE     campaign sampling fraction (default 0.01)
-//   IOTLS_THREADS / IOTLS_ENGINE as everywhere (parity lanes always pin
+//   IOTLS_THREADS                as everywhere (parity lanes always pin
 //                                their own thread counts)
 //
 // Exit status is the parity verdict: a reduced fleet synthesized at
 // threads 1 and 8 must produce byte-identical shards, and the campaign
-// tables must be byte-identical at threads 1 vs 8 and engine on vs off.
+// tables must be byte-identical at threads 1 vs 8.
 //
 // Usage: bench_fleet [output.json]   (default ./BENCH_fleet.json)
 #include <cstdio>
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
       iotls::bench::strict_env_long("IOTLS_BENCH_FLEET_INSTANCES", 1'000'000));
   const std::size_t threads = static_cast<std::size_t>(
       iotls::bench::strict_env_long("IOTLS_THREADS", 0));
-  const bool engine = iotls::bench::strict_env_long("IOTLS_ENGINE", 0) != 0;
   iotls::bench::profile_from_env();
 
   const std::vector<std::string> devices = bench_devices();
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
   iotls::fleet::CampaignOptions campaign_options;
   campaign_options.fleet = synth_options.fleet;
   campaign_options.threads = threads;
-  campaign_options.engine = engine;
   campaign_options.sample_fraction.fill(sample_fraction);
   iotls::fleet::CampaignReport campaign_report;
   const auto campaign_tp = iotls::bench::timed_throughput([&] {
@@ -114,8 +112,7 @@ int main(int argc, char** argv) {
   });
 
   // Parity gates on a reduced fleet (same models, fewer instances): shard
-  // bytes at threads 1 vs 8, campaign tables at threads 1 vs 8 and engine
-  // on vs off.
+  // bytes and campaign tables at threads 1 vs 8.
   iotls::fleet::SynthOptions parity_synth = synth_options;
   parity_synth.fleet.instances = std::min<std::uint64_t>(instances, 10'000);
   parity_synth.shard_instances = 2'048;
@@ -133,17 +130,12 @@ int main(int argc, char** argv) {
   parity_campaign.fleet.instances = parity_synth.fleet.instances;
   parity_campaign.sample_fraction.fill(0.05);
   parity_campaign.threads = 1;
-  parity_campaign.engine = false;
   const std::string tables1 =
       iotls::fleet::run_campaign(parity_campaign).tables.render();
   parity_campaign.threads = 8;
   const std::string tables8 =
       iotls::fleet::run_campaign(parity_campaign).tables.render();
-  parity_campaign.engine = true;
-  const std::string tables_engine =
-      iotls::fleet::run_campaign(parity_campaign).tables.render();
-  const bool campaign_parity =
-      tables1 == tables8 && tables1 == tables_engine;
+  const bool campaign_parity = tables1 == tables8;
   const bool parity = synth_parity && campaign_parity;
 
   std::printf("==== bench_fleet (instances=%llu, models=%zu) ====\n",
@@ -189,7 +181,6 @@ int main(int argc, char** argv) {
       {{"IOTLS_BENCH_FLEET_INSTANCES", std::to_string(instances)},
        {"IOTLS_BENCH_FLEET_SAMPLE", std::to_string(sample_fraction)},
        {"IOTLS_THREADS", std::to_string(threads)},
-       {"IOTLS_ENGINE", engine ? "1" : "0"},
        {"output", out_path}});
 
   fs::remove_all(dir);

@@ -22,10 +22,6 @@ using common::strict_env_long;
 /// paper-scale connection counts. Environment knobs:
 ///   IOTLS_THREADS  per-device fan-out width (0 = hardware concurrency,
 ///                  1 = serial); outputs are byte-identical either way.
-///   IOTLS_ENGINE   non-zero drives every experiment through the batched
-///                  session engine (DESIGN.md §14): whole-device chains
-///                  interleave per thread with per-tick crypto batching;
-///                  outputs are byte-identical either way.
 ///   IOTLS_TRACE    handshake tracing (0 = off, 1 = handshake events,
 ///                  2 = full wire records); summary printed after the run.
 ///   IOTLS_METRICS  non-zero enables the metrics registry; the Prometheus
@@ -39,7 +35,6 @@ inline core::IotlsStudy::Options reproduction_options() {
   options.passive_scale = 1.0;
   options.threads =
       static_cast<std::size_t>(strict_env_long("IOTLS_THREADS", 0));
-  options.engine = strict_env_long("IOTLS_ENGINE", 0) != 0;
   options.trace_level =
       obs::trace_level_from_int(strict_env_long("IOTLS_TRACE", 0));
   options.metrics_enabled = strict_env_long("IOTLS_METRICS", 0) != 0;
@@ -52,7 +47,6 @@ inline std::vector<std::pair<std::string, std::string>>
 reproduction_knobs(const core::IotlsStudy::Options& options) {
   return {
       {"IOTLS_THREADS", std::to_string(options.threads)},
-      {"IOTLS_ENGINE", options.engine ? "1" : "0"},
       {"IOTLS_TRACE", std::to_string(static_cast<int>(options.trace_level))},
       {"IOTLS_METRICS", options.metrics_enabled ? "1" : "0"},
       {"IOTLS_PROFILE", obs::profile_enabled() ? "1" : "0"},

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/pool.hpp"
-#include "common/task.hpp"
-#include "engine/map.hpp"
 
 namespace iotls::analysis {
 
@@ -29,8 +27,7 @@ int FingerprintStudy::sharing_devices() const {
 }
 
 FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
-                                       std::size_t threads,
-                                       bool use_engine) {
+                                       std::size_t threads) {
   FingerprintStudy study;
   const common::SimDate snapshot{2021, 3, 25};
   testbed.set_date(snapshot);
@@ -44,17 +41,14 @@ FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
   };
 
   const auto names = testbed.device_names();
-  const auto per_device = engine::map(
-      threads, use_engine, names,
-      [&](const std::string& name,
-          engine::Engine* eng) -> common::Task<DeviceFingerprints> {
+  const auto per_device = common::parallel_map(
+      threads, names, [&](const std::string& name) {
         testbed::Testbed sandbox(testbed.sandbox_options(name));
-        if (eng != nullptr) sandbox.set_engine(eng);
         sandbox.set_date(snapshot);
         auto& runtime = sandbox.runtime(name);
         runtime.reset_failure_state();
-        const auto boot = co_await runtime.boot_task(
-            snapshot, /*include_intermittent=*/true);
+        const auto boot =
+            runtime.boot(snapshot, /*include_intermittent=*/true);
 
         DeviceFingerprints result;
         result.device = name;
@@ -73,7 +67,7 @@ FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
             result.dominant_hash = hash;
           }
         }
-        co_return result;
+        return result;
       });
 
   for (const auto& result : per_device) {

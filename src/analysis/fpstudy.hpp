@@ -28,11 +28,9 @@ struct FingerprintStudy {
 };
 
 /// `threads` fans the per-device boots out over a worker pool (0 =
-/// hardware concurrency, 1 = serial); `use_engine` multiplexes the boots
-/// through per-worker session engines. The study is identical either way.
+/// hardware concurrency, 1 = serial); the study is identical either way.
 FingerprintStudy run_fingerprint_study(testbed::Testbed& testbed,
-                                       std::size_t threads = 0,
-                                       bool use_engine = false);
+                                       std::size_t threads = 0);
 
 /// Passive variants of §5.3: fingerprints extracted from the captured
 /// ClientHellos of the longitudinal dataset, weighted by connection

@@ -6,8 +6,6 @@
 
 #include "common/pool.hpp"
 #include "common/rng.hpp"
-#include "common/task.hpp"
-#include "engine/map.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "devices/catalog.hpp"
@@ -101,7 +99,6 @@ const testbed::PassiveDataset& IotlsStudy::passive_dataset() {
       gen.first = options_.passive_first;
       gen.last = options_.passive_last;
       gen.threads = options_.threads;
-      gen.engine = options_.engine;
       passive_ = timed("passive-dataset", devices::device_catalog().size(),
                        [&] { return testbed::generate_passive_dataset(gen); });
     }
@@ -129,8 +126,7 @@ const std::vector<LibraryProbeRow>& IotlsStudy::library_probe_rows() {
 const mitm::DowngradeReport& IotlsStudy::downgrade_report() {
   if (!downgrade_) {
     downgrade_ = timed("downgrade", devices::active_devices().size(), [&] {
-      return mitm::run_downgrade_experiments(*testbed_, options_.threads,
-                                             options_.engine);
+      return mitm::run_downgrade_experiments(*testbed_, options_.threads);
     });
   }
   return *downgrade_;
@@ -141,8 +137,7 @@ const mitm::OldVersionReport& IotlsStudy::old_version_report() {
     old_versions_ =
         timed("old-version", devices::active_devices().size(), [&] {
           return mitm::run_old_version_experiments(*testbed_,
-                                                   options_.threads,
-                                                   options_.engine);
+                                                   options_.threads);
         });
   }
   return *old_versions_;
@@ -153,8 +148,7 @@ const mitm::InterceptionReport& IotlsStudy::interception_report() {
     interception_ =
         timed("interception", devices::active_devices().size(), [&] {
           return mitm::run_interception_experiments(*testbed_, 4,
-                                                    options_.threads,
-                                                    options_.engine);
+                                                    options_.threads);
         });
   }
   return *interception_;
@@ -191,19 +185,16 @@ IotlsStudy::root_store_results() {
           // Each task traces into a local log; the merge below happens
           // serially, in eligible-device order, so the study trace is
           // byte-identical at any thread count.
-          auto amenable_mask = engine::map(
-              options_.threads, options_.engine, eligible,
-              [&](const std::string& device, engine::Engine* eng)
-                  -> common::Task<std::pair<bool, obs::TraceLog>> {
+          auto amenable_mask = common::parallel_map(
+              options_.threads, eligible,
+              [&](const std::string& device) {
                 testbed::Testbed sandbox(testbed_->sandbox_options(device));
-                if (eng != nullptr) sandbox.set_engine(eng);
                 obs::TraceLog local(trace_log_.level());
                 sandbox.set_trace(&local);
                 probe::RootStoreProber prober(sandbox,
                                               options_.seed ^ 0xF00D);
-                const bool amenable =
-                    co_await prober.device_amenable_task(device);
-                co_return std::make_pair(amenable, std::move(local));
+                const bool amenable = prober.device_amenable(device);
+                return std::make_pair(amenable, std::move(local));
               });
           std::vector<std::string> amenable;
           for (std::size_t i = 0; i < eligible.size(); ++i) {
@@ -238,25 +229,22 @@ IotlsStudy::root_store_results() {
 
           std::vector<std::size_t> indices(amenable.size());
           for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-          auto explorations = engine::map(
-              options_.threads, options_.engine, indices,
-              [&](std::size_t i, engine::Engine* eng)
-                  -> common::Task<
-                      std::pair<RootStoreExploration, obs::TraceLog>> {
+          auto explorations = common::parallel_map(
+              options_.threads, indices,
+              [&](std::size_t i) {
                 const auto& device = amenable[i];
                 testbed::Testbed sandbox(testbed_->sandbox_options(device));
-                if (eng != nullptr) sandbox.set_engine(eng);
                 obs::TraceLog local(trace_log_.level());
                 sandbox.set_trace(&local);
                 probe::RootStoreProber prober(sandbox,
                                               options_.seed ^ 0xF00D);
                 RootStoreExploration exploration;
-                exploration.common = co_await prober.explore_task(
-                    device, common_names, masks[i].common);
-                exploration.deprecated = co_await prober.explore_task(
+                exploration.common =
+                    prober.explore(device, common_names, masks[i].common);
+                exploration.deprecated = prober.explore(
                     device, deprecated_names, masks[i].deprecated);
-                co_return std::make_pair(std::move(exploration),
-                                         std::move(local));
+                return std::make_pair(std::move(exploration),
+                                      std::move(local));
               });
 
           std::map<std::string, RootStoreExploration> results;
@@ -287,8 +275,7 @@ const analysis::FingerprintStudy& IotlsStudy::fingerprint_study() {
     fingerprints_ =
         timed("fingerprint", testbed_->device_names().size(), [&] {
           return analysis::run_fingerprint_study(*testbed_,
-                                                 options_.threads,
-                                                 options_.engine);
+                                                 options_.threads);
         });
   }
   return *fingerprints_;

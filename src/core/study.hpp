@@ -51,12 +51,6 @@ class IotlsStudy {
     /// concurrency, 1 = serial. Every table and figure is byte-identical
     /// across all values (see DESIGN.md, "Concurrency model").
     std::size_t threads = 0;
-    /// Drive every experiment's connections through per-worker session
-    /// engines (src/engine/): whole-device chains interleave on each
-    /// thread and each engine tick batches its crypto. Every table,
-    /// figure, trace, and store artifact is byte-identical to the
-    /// synchronous path (DESIGN.md §14; bench_engine gates on parity).
-    bool engine = false;
     /// CA universe override (nullptr = CaUniverse::standard()); mostly for
     /// tests that want a smaller, faster universe.
     const pki::CaUniverse* universe = nullptr;

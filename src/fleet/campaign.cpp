@@ -6,7 +6,6 @@
 
 #include "common/pool.hpp"
 #include "common/table.hpp"
-#include "engine/map.hpp"
 #include "mitm/interceptor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -47,31 +46,26 @@ const devices::DestinationSpec* scan_destination(
 
 /// One interceptor-mediated connection; returns the alert the device sent
 /// (the probe side channel), resetting failure state afterwards.
-common::Task<std::optional<tls::Alert>> run_alert_probe(
+std::optional<tls::Alert> run_alert_probe(
     testbed::Testbed& testbed, testbed::DeviceRuntime& runtime,
     mitm::Interceptor& interceptor, const devices::DestinationSpec& dest,
     common::SimDate now, mitm::InterceptMode mode) {
   interceptor.set_mode(std::move(mode));
   interceptor.install(testbed.network());
-  (void)co_await runtime.connect_to_task(dest, now);
+  (void)runtime.connect_to(dest, now);
   const auto interceptions = interceptor.drain();
   interceptor.uninstall(testbed.network());
   runtime.reset_failure_state();
-  if (interceptions.empty()) co_return std::nullopt;
-  co_return interceptions.front().alert_received;
+  if (interceptions.empty()) return std::nullopt;
+  return interceptions.front().alert_received;
 }
 
 /// Probe one behaviour key in its own single-model sandbox: plain scan,
 /// Table 2 NoValidation forgery, then the §4.2 alert-differencing
 /// deprecated-CA probe.
-common::Task<ProbeResult> probe_key_task(const FleetModel& fleet,
-                                         const pki::CaUniverse& universe,
-                                         const CampaignOptions& options,
-                                         ProbeKey key,
-                                         engine::Engine* engine) {
-  // No ProfileZone here: the frame suspends at every co_await and may
-  // resume on another worker, so a zone would cross thread_local stacks.
-  // The probe phase is timed as a whole from run_campaign instead.
+ProbeResult probe_key(const FleetModel& fleet,
+                      const pki::CaUniverse& universe,
+                      const CampaignOptions& options, ProbeKey key) {
   const devices::DeviceProfile& model = *fleet.models()[key.model];
   // Regional root-store variant: the profile seed is re-keyed per region,
   // so the runtime assembles a different (deterministic) trust bundle for
@@ -94,16 +88,15 @@ common::Task<ProbeResult> probe_key_task(const FleetModel& fleet,
       kDriftDays[static_cast<std::size_t>(key.drift_bucket)]);
 
   testbed::DeviceRuntime runtime(frozen, universe, testbed.network());
-  runtime.set_engine(engine);
 
   ProbeResult result;
   const devices::DestinationSpec* dest = scan_destination(frozen);
-  if (dest == nullptr) co_return result;
+  if (dest == nullptr) return result;
 
   // Plain scan connection: TLS support + negotiated posture.
   const std::size_t before = testbed.network().capture().size();
   const testbed::ConnectionOutcome outcome =
-      co_await runtime.connect_to_task(*dest, device_clock);
+      runtime.connect_to(*dest, device_clock);
   const auto& records = testbed.network().capture().records();
   for (std::size_t i = before; i < records.size(); ++i) {
     net::HandshakeRecord record = records[i];
@@ -125,7 +118,7 @@ common::Task<ProbeResult> probe_key_task(const FleetModel& fleet,
   interceptor.set_mode(
       mitm::InterceptMode::make_attack(mitm::AttackKind::NoValidation));
   interceptor.install(testbed.network());
-  (void)co_await runtime.connect_to_task(*dest, device_clock);
+  (void)runtime.connect_to(*dest, device_clock);
   for (const auto& interception : interceptor.drain()) {
     if (interception.compromised()) result.accepts_interception = true;
   }
@@ -142,10 +135,10 @@ common::Task<ProbeResult> probe_key_task(const FleetModel& fleet,
     const std::string& ca_name = deprecated[static_cast<std::size_t>(
         common::split_seed(fleet.options().seed, region_name(key.region)) %
         deprecated.size())];
-    const auto alert_unknown = co_await run_alert_probe(
+    const auto alert_unknown = run_alert_probe(
         testbed, runtime, interceptor, *dest, device_clock,
         mitm::InterceptMode::unknown_ca());
-    const auto alert_spoofed = co_await run_alert_probe(
+    const auto alert_spoofed = run_alert_probe(
         testbed, runtime, interceptor, *dest, device_clock,
         mitm::InterceptMode::spoofed_ca(universe.authority(ca_name).root()));
     result.trusts_deprecated = alert_unknown.has_value() &&
@@ -154,7 +147,7 @@ common::Task<ProbeResult> probe_key_task(const FleetModel& fleet,
   }
 
   result.handshakes = testbed.network().capture().size();
-  co_return result;
+  return result;
 }
 
 std::string percent_cell(std::uint64_t part, std::uint64_t whole) {
@@ -298,17 +291,13 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
-  // Phase 2 — probe each key once, fanned through the session engine knob.
-  // (Timed here rather than inside probe_key_task: coroutine frames hop
-  // workers across co_await, which ProfileZone's thread-local stack
-  // cannot span.)
+  // Phase 2 — probe each key once.
   auto probe_results = [&] {
     const obs::ProfileZone zone("fleet/campaign_probe");
-    return engine::map(options.threads, options.engine, keys,
-                       [&](const ProbeKey& key, engine::Engine* engine) {
-                         return probe_key_task(fleet, universe, options, key,
-                                               engine);
-                       });
+    return common::parallel_map(
+        options.threads, keys, [&](const ProbeKey& key) {
+          return probe_key(fleet, universe, options, key);
+        });
   }();
   std::map<ProbeKey, const ProbeResult*> probes;
   for (std::size_t i = 0; i < keys.size(); ++i) {

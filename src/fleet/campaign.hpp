@@ -7,7 +7,7 @@
 // Table 2 NoValidation forgery), and deprecated-CA trust (the §4.2
 // alert-differencing probe, fleet-wide). Like synthesis, probing runs once
 // per distinct behaviour key (model x firmware epoch x region x drift) and
-// fans out through engine::map; per-instance work is a table lookup.
+// fans out over the worker pool; per-instance work is a table lookup.
 // Results aggregate into per-vendor / per-region / per-firmware-age
 // posture tables, and optionally a scan-record store that iotls-query can
 // slice like any other capture store.
@@ -35,9 +35,6 @@ struct CampaignOptions {
   /// Worker threads (0 = hardware concurrency). Tables and the scan store
   /// are byte-identical for every value.
   std::size_t threads = 0;
-  /// Drive probe handshakes through per-worker session engines
-  /// (DESIGN.md §14); outputs are byte-identical either way.
-  bool engine = false;
   /// The month the scan runs in (instances dead by then are skipped).
   common::Month scan_month = common::kStudyEnd;
   /// Sampling plan: per-region strata fractions. Each alive instance is
@@ -124,7 +121,7 @@ struct CampaignReport {
 std::string scan_shard_name(std::uint32_t index);
 
 /// Run the campaign. Deterministic in (options); byte-identical tables and
-/// scan store at any thread count, engine on or off.
+/// scan store at any thread count.
 CampaignReport run_campaign(const CampaignOptions& options);
 
 }  // namespace iotls::fleet

@@ -4,8 +4,6 @@
 #include <set>
 
 #include "common/pool.hpp"
-#include "common/task.hpp"
-#include "engine/map.hpp"
 
 namespace iotls::mitm {
 
@@ -98,17 +96,14 @@ bool is_downgraded_hello(const tls::ClientHello& original,
 
 InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
                                                 int boots_per_attack,
-                                                std::size_t threads,
-                                                bool use_engine) {
+                                                std::size_t threads) {
   testbed.set_date(kExperimentDate);
   const auto profiles = devices::active_devices();
 
-  auto rows = engine::map(
-      threads, use_engine, profiles,
-      [&](const devices::DeviceProfile* profile, engine::Engine* eng)
-          -> common::Task<std::pair<InterceptionRow, obs::TraceLog>> {
+  auto rows = common::parallel_map(
+      threads, profiles,
+      [&](const devices::DeviceProfile* profile) {
         DeviceLab lab(testbed, *profile);
-        if (eng != nullptr) lab.bed.set_engine(eng);
         auto& runtime = lab.runtime(*profile);
         InterceptionRow row;
         row.device = profile->name;
@@ -122,8 +117,7 @@ InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
           lab.interceptor.install(lab.bed.network());
 
           for (int boot = 0; boot < boots_per_attack; ++boot) {
-            (void)co_await runtime.boot_task(kExperimentDate,
-                                             /*include_intermittent=*/true);
+            (void)runtime.boot(kExperimentDate, /*include_intermittent=*/true);
           }
           const auto interceptions = lab.interceptor.drain();
           lab.interceptor.uninstall(lab.bed.network());
@@ -160,7 +154,7 @@ InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
 
         row.vulnerable_destinations =
             static_cast<int>(vulnerable_hosts.size());
-        co_return std::make_pair(std::move(row), std::move(lab.trace));
+        return std::make_pair(std::move(row), std::move(lab.trace));
       });
 
   // Deterministic merge in catalog order.
@@ -189,17 +183,14 @@ InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
 }
 
 DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
-                                          std::size_t threads,
-                                          bool use_engine) {
+                                          std::size_t threads) {
   testbed.set_date(kExperimentDate);
   const auto profiles = devices::active_devices();
 
-  auto rows = engine::map(
-      threads, use_engine, profiles,
-      [&](const devices::DeviceProfile* profile, engine::Engine* eng)
-          -> common::Task<std::pair<DowngradeRow, obs::TraceLog>> {
+  auto rows = common::parallel_map(
+      threads, profiles,
+      [&](const devices::DeviceProfile* profile) {
         DeviceLab lab(testbed, *profile);
-        if (eng != nullptr) lab.bed.set_engine(eng);
         auto& runtime = lab.runtime(*profile);
         DowngradeRow row;
         row.device = profile->name;
@@ -213,7 +204,7 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
           runtime.reset_failure_state();
           lab.interceptor.set_mode(InterceptMode::make_failure(failure));
           lab.interceptor.install(lab.bed.network());
-          const auto boot = co_await runtime.boot_task(kExperimentDate);
+          const auto boot = runtime.boot(kExperimentDate);
           lab.interceptor.uninstall(lab.bed.network());
           runtime.reset_failure_state();
 
@@ -237,7 +228,7 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
         row.downgraded_destinations =
             static_cast<int>(downgraded_hosts.size());
         row.total_destinations = static_cast<int>(contacted_hosts.size());
-        co_return std::make_pair(std::move(row), std::move(lab.trace));
+        return std::make_pair(std::move(row), std::move(lab.trace));
       });
 
   merge_lab_traces(testbed, rows);
@@ -256,17 +247,14 @@ DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
 }
 
 OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
-                                             std::size_t threads,
-                                             bool use_engine) {
+                                             std::size_t threads) {
   testbed.set_date(kExperimentDate);
   const auto profiles = devices::active_devices();
 
-  auto rows = engine::map(
-      threads, use_engine, profiles,
-      [&](const devices::DeviceProfile* profile, engine::Engine* eng)
-          -> common::Task<std::pair<OldVersionRow, obs::TraceLog>> {
+  auto rows = common::parallel_map(
+      threads, profiles,
+      [&](const devices::DeviceProfile* profile) {
         DeviceLab lab(testbed, *profile);
-        if (eng != nullptr) lab.bed.set_engine(eng);
         auto& runtime = lab.runtime(*profile);
         OldVersionRow row;
         row.device = profile->name;
@@ -276,7 +264,7 @@ OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
           lab.interceptor.set_mode(InterceptMode::make_old_version(version));
           lab.interceptor.install(lab.bed.network());
           runtime.reset_failure_state();
-          const auto boot = co_await runtime.boot_task(kExperimentDate);
+          const auto boot = runtime.boot(kExperimentDate);
           lab.interceptor.uninstall(lab.bed.network());
           runtime.reset_failure_state();
 
@@ -294,7 +282,7 @@ OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
             row.tls11 = accepted;
           }
         }
-        co_return std::make_pair(std::move(row), std::move(lab.trace));
+        return std::make_pair(std::move(row), std::move(lab.trace));
       });
 
   merge_lab_traces(testbed, rows);
@@ -312,8 +300,7 @@ OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
 }
 
 PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
-                                              std::size_t threads,
-                                              bool use_engine) {
+                                              std::size_t threads) {
   testbed.set_date(kExperimentDate);
   const auto profiles = devices::active_devices();
 
@@ -323,12 +310,10 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
     bool new_failures = false;
   };
 
-  auto tallies = engine::map(
-      threads, use_engine, profiles,
-      [&](const devices::DeviceProfile* profile, engine::Engine* eng)
-          -> common::Task<std::pair<DeviceTally, obs::TraceLog>> {
+  auto tallies = common::parallel_map(
+      threads, profiles,
+      [&](const devices::DeviceProfile* profile) {
         DeviceLab lab(testbed, *profile);
-        if (eng != nullptr) lab.bed.set_engine(eng);
         auto& runtime = lab.runtime(*profile);
         lab.interceptor.set_mode(
             InterceptMode::make_attack(AttackKind::NoValidation));
@@ -338,7 +323,7 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
         // which were compromised.
         runtime.reset_failure_state();
         lab.interceptor.install(lab.bed.network());
-        const auto attacked = co_await runtime.boot_task(kExperimentDate);
+        const auto attacked = runtime.boot(kExperimentDate);
         const auto pass1 = lab.interceptor.drain();
         lab.interceptor.uninstall(lab.bed.network());
         runtime.reset_failure_state();
@@ -361,7 +346,7 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
         // destinations.
         lab.interceptor.set_passthrough(failed_hosts);
         lab.interceptor.install(lab.bed.network());
-        const auto repeated = co_await runtime.boot_task(
+        const auto repeated = runtime.boot(
             kExperimentDate, /*include_intermittent=*/true);
         const auto interceptions = lab.interceptor.drain();
         lab.interceptor.uninstall(lab.bed.network());
@@ -385,7 +370,7 @@ PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
         for (const auto& host : pass2_hosts) {
           if (!seen_hosts.count(host)) ++tally.extra_hosts;
         }
-        co_return std::make_pair(std::move(tally), std::move(lab.trace));
+        return std::make_pair(std::move(tally), std::move(lab.trace));
       });
 
   merge_lab_traces(testbed, tallies);

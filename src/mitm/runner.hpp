@@ -40,13 +40,9 @@ struct InterceptionReport {
 /// needs ≥4 to expose its disable-after-3-failures behaviour).
 /// `threads` fans the devices out over a worker pool (0 = hardware
 /// concurrency, 1 = serial); results are identical for any value.
-/// `use_engine` routes every device's connections through a per-worker
-/// session engine (src/engine/) so whole-device experiment chains
-/// interleave on each thread; all reports are byte-identical either way.
 InterceptionReport run_interception_experiments(testbed::Testbed& testbed,
                                                 int boots_per_attack = 4,
-                                                std::size_t threads = 0,
-                                                bool use_engine = false);
+                                                std::size_t threads = 0);
 
 /// Per-device downgrade results (Table 5 rows).
 struct DowngradeRow {
@@ -64,8 +60,7 @@ struct DowngradeReport {
 };
 
 DowngradeReport run_downgrade_experiments(testbed::Testbed& testbed,
-                                          std::size_t threads = 0,
-                                          bool use_engine = false);
+                                          std::size_t threads = 0);
 
 /// Per-device old-version acceptance (Table 6 rows).
 struct OldVersionRow {
@@ -80,8 +75,7 @@ struct OldVersionReport {
 };
 
 OldVersionReport run_old_version_experiments(testbed::Testbed& testbed,
-                                             std::size_t threads = 0,
-                                             bool use_engine = false);
+                                             std::size_t threads = 0);
 
 /// §4.2 TrafficPassthrough validation: repeat the attacks while passing
 /// through connections that previously failed; report the extra
@@ -93,8 +87,7 @@ struct PassthroughReport {
 };
 
 PassthroughReport run_passthrough_experiments(testbed::Testbed& testbed,
-                                              std::size_t threads = 0,
-                                              bool use_engine = false);
+                                              std::size_t threads = 0);
 
 /// A ClientHello is a downgrade of another if it advertises a lower
 /// maximum version, or a strictly weaker ciphersuite set, or weaker

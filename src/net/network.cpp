@@ -69,24 +69,9 @@ Network::Connection Network::connect(const std::string& hostname,
   return conn;
 }
 
-Network::PendingConnection Network::open(engine::Engine& engine,
-                                         const std::string& hostname,
-                                         const std::string& device,
-                                         common::Month month) {
-  PendingConnection conn;
-  conn.session = resolve_session(hostname);
-  conn.observer = std::make_shared<ConnectionObserver>(device, hostname,
-                                                       month);
-  conn.conduit = &engine.open_conduit(conn.session);
-  conn.conduit->add_tap(conn.observer->tap());
-  conn.span = make_span(hostname, device, month);
-  if (conn.span != nullptr) conn.conduit->attach_span(conn.span.get());
-  return conn;
-}
-
-void Network::commit(ConnectionObserver& observer,
-                     std::unique_ptr<obs::Span>& span) {
-  const HandshakeRecord& record = observer.record();
+void Network::finish(Connection& connection) {
+  const HandshakeRecord& record = connection.observer->record();
+  std::unique_ptr<obs::Span>& span = connection.span;
   capture_.add(record);
   if (span != nullptr && span->enabled()) {
     std::vector<obs::Attr> attrs{
@@ -104,14 +89,6 @@ void Network::commit(ConnectionObserver& observer,
     if (trace_ != nullptr) trace_->add(std::move(*span));
     span.reset();
   }
-}
-
-void Network::finish(Connection& connection) {
-  commit(*connection.observer, connection.span);
-}
-
-void Network::finish(PendingConnection& connection) {
-  commit(*connection.observer, connection.span);
 }
 
 }  // namespace iotls::net

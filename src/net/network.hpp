@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "engine/engine.hpp"
 #include "net/capture.hpp"
 #include "obs/trace.hpp"
 #include "tls/transport.hpp"
@@ -60,27 +59,6 @@ class Network {
   /// its trace span (with a final `capture` event) to the trace log.
   void finish(Connection& connection);
 
-  /// Engine-path twin of Connection: the connection's RecordIo is a
-  /// Conduit multiplexed by a session engine instead of a dedicated
-  /// Transport. Same gateway observer, same trace span.
-  struct PendingConnection {
-    engine::Conduit* conduit = nullptr;  // owned by the engine
-    std::shared_ptr<tls::ServerSession> session;
-    std::shared_ptr<ConnectionObserver> observer;
-    std::unique_ptr<obs::Span> span;
-  };
-
-  /// Engine-path twin of connect(): identical session resolution,
-  /// interception, tap and span wiring, but the connection is multiplexed
-  /// by `engine`. Drive it with `client.connect_task(*conn.conduit, ...)`
-  /// inside a chain, then finish(conn).
-  PendingConnection open(engine::Engine& engine, const std::string& hostname,
-                         const std::string& device, common::Month month);
-
-  /// Engine-path twin of finish(Connection&): same capture record and
-  /// trace-span commit.
-  void finish(PendingConnection& connection);
-
   [[nodiscard]] CaptureLog& capture() { return capture_; }
   [[nodiscard]] const CaptureLog& capture() const { return capture_; }
 
@@ -89,15 +67,13 @@ class Network {
   [[nodiscard]] obs::TraceLog* trace() const { return trace_; }
 
  private:
-  /// Shared connect/open internals: interceptor-aware session resolution,
-  /// span creation, and the capture/trace commit both finish() overloads
-  /// run.
+  /// connect() internals: interceptor-aware session resolution and span
+  /// creation.
   std::shared_ptr<tls::ServerSession> resolve_session(
       const std::string& hostname);
   std::unique_ptr<obs::Span> make_span(const std::string& hostname,
                                        const std::string& device,
                                        common::Month month);
-  void commit(ConnectionObserver& observer, std::unique_ptr<obs::Span>& span);
 
   std::map<std::string, SessionFactory> servers_;
   Interceptor interceptor_;

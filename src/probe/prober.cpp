@@ -77,33 +77,32 @@ std::vector<std::string> RootStoreProber::eligible_devices() const {
   return out;
 }
 
-common::Task<std::optional<tls::Alert>> RootStoreProber::run_probe_task(
+std::optional<tls::Alert> RootStoreProber::run_probe(
     const std::string& device_name, mitm::InterceptMode mode) {
   auto& runtime = testbed_->runtime(device_name);
   const auto& dest = probe_destination(runtime.profile());
 
   interceptor_.set_mode(std::move(mode));
   interceptor_.install(testbed_->network());
-  (void)co_await runtime.connect_to_task(dest, kProbeDate);
+  (void)runtime.connect_to(dest, kProbeDate);
   const auto interceptions = interceptor_.drain();
   interceptor_.uninstall(testbed_->network());
   runtime.reset_failure_state();
 
-  if (interceptions.empty()) co_return std::nullopt;
-  co_return interceptions.front().alert_received;
+  if (interceptions.empty()) return std::nullopt;
+  return interceptions.front().alert_received;
 }
 
-common::Task<bool> RootStoreProber::device_amenable_task(
-    const std::string& device_name) {
+bool RootStoreProber::device_amenable(const std::string& device_name) {
   auto& runtime = testbed_->runtime(device_name);
-  if (runtime.root_store().empty()) co_return false;
+  if (runtime.root_store().empty()) return false;
   // Calibrate with a certificate we know the device trusts.
   const x509::Certificate known_root = runtime.root_store().roots().front();
 
   const auto alert_unknown =
-      co_await run_probe_task(device_name, mitm::InterceptMode::unknown_ca());
-  const auto alert_spoofed = co_await run_probe_task(
-      device_name, mitm::InterceptMode::spoofed_ca(known_root));
+      run_probe(device_name, mitm::InterceptMode::unknown_ca());
+  const auto alert_spoofed =
+      run_probe(device_name, mitm::InterceptMode::spoofed_ca(known_root));
   const bool amenable = alert_unknown.has_value() &&
                         alert_spoofed.has_value() &&
                         *alert_unknown != *alert_spoofed;
@@ -118,11 +117,7 @@ common::Task<bool> RootStoreProber::device_amenable_task(
     span.event("verdict", {{"amenable", amenable ? "true" : "false"}});
     trace->add(std::move(span));
   }
-  co_return amenable;
-}
-
-bool RootStoreProber::device_amenable(const std::string& device_name) {
-  return common::run_sync(device_amenable_task(device_name));
+  return amenable;
 }
 
 std::vector<std::string> RootStoreProber::amenable_devices() {
@@ -133,16 +128,16 @@ std::vector<std::string> RootStoreProber::amenable_devices() {
   return out;
 }
 
-common::Task<ProbeOutcome> RootStoreProber::probe_certificate_task(
+ProbeOutcome RootStoreProber::probe_certificate(
     const std::string& device_name, const std::string& ca_name) {
   const auto& universe = testbed_->universe();
   const x509::Certificate& candidate = universe.authority(ca_name).root();
 
   ProbeOutcome outcome;
   outcome.alert_unknown =
-      co_await run_probe_task(device_name, mitm::InterceptMode::unknown_ca());
-  outcome.alert_spoofed = co_await run_probe_task(
-      device_name, mitm::InterceptMode::spoofed_ca(candidate));
+      run_probe(device_name, mitm::InterceptMode::unknown_ca());
+  outcome.alert_spoofed =
+      run_probe(device_name, mitm::InterceptMode::spoofed_ca(candidate));
 
   if (!outcome.alert_unknown.has_value() ||
       !outcome.alert_spoofed.has_value()) {
@@ -182,12 +177,7 @@ common::Task<ProbeOutcome> RootStoreProber::probe_certificate_task(
                            {"signal", signal}});
     trace->add(std::move(span));
   }
-  co_return outcome;
-}
-
-ProbeOutcome RootStoreProber::probe_certificate(
-    const std::string& device_name, const std::string& ca_name) {
-  return common::run_sync(probe_certificate_task(device_name, ca_name));
+  return outcome;
 }
 
 ExplorationResult RootStoreProber::explore(
@@ -203,7 +193,7 @@ ExplorationResult RootStoreProber::explore(
   return explore(device_name, ca_names, mask);
 }
 
-common::Task<ExplorationResult> RootStoreProber::explore_task(
+ExplorationResult RootStoreProber::explore(
     const std::string& device_name, const std::vector<std::string>& ca_names,
     const std::vector<bool>& inconclusive_mask) {
   ExplorationResult result;
@@ -216,8 +206,7 @@ common::Task<ExplorationResult> RootStoreProber::explore_task(
       result.verdicts[ca_name] = Verdict::Inconclusive;
       continue;
     }
-    const ProbeOutcome outcome =
-        co_await probe_certificate_task(device_name, ca_name);
+    const ProbeOutcome outcome = probe_certificate(device_name, ca_name);
     result.verdicts[ca_name] = outcome.verdict;
     if (outcome.verdict == Verdict::Inconclusive) {
       ++result.inconclusive;
@@ -226,14 +215,7 @@ common::Task<ExplorationResult> RootStoreProber::explore_task(
     ++result.checked;
     if (outcome.verdict == Verdict::Present) ++result.present;
   }
-  co_return result;
-}
-
-ExplorationResult RootStoreProber::explore(
-    const std::string& device_name, const std::vector<std::string>& ca_names,
-    const std::vector<bool>& inconclusive_mask) {
-  return common::run_sync(explore_task(device_name, ca_names,
-                                       inconclusive_mask));
+  return result;
 }
 
 }  // namespace iotls::probe

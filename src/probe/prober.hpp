@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/task.hpp"
 #include "mitm/interceptor.hpp"
 #include "testbed/testbed.hpp"
 
@@ -86,24 +85,11 @@ class RootStoreProber {
                             const std::vector<std::string>& ca_names,
                             const std::vector<bool>& inconclusive_mask);
 
-  /// Coroutine twins for the session-engine path: same probes, same trace
-  /// spans, same verdict logic, but each intercepted connection suspends
-  /// on the testbed's engine so many devices' probes interleave per worker
-  /// thread (the testbed must have set_engine() applied). The synchronous
-  /// methods above are exactly run_sync(...) over these.
-  common::Task<bool> device_amenable_task(const std::string& device_name);
-  common::Task<ProbeOutcome> probe_certificate_task(
-      const std::string& device_name, const std::string& ca_name);
-  common::Task<ExplorationResult> explore_task(
-      const std::string& device_name,
-      const std::vector<std::string>& ca_names,
-      const std::vector<bool>& inconclusive_mask);
-
  private:
   /// Run one intercepted boot-time connection; returns the alert the
   /// device sent (nullopt = silent failure or no traffic).
-  common::Task<std::optional<tls::Alert>> run_probe_task(
-      const std::string& device_name, mitm::InterceptMode mode);
+  std::optional<tls::Alert> run_probe(const std::string& device_name,
+                                      mitm::InterceptMode mode);
 
   testbed::Testbed* testbed_;
   mitm::Interceptor interceptor_;

@@ -7,8 +7,6 @@
 
 #include "common/pool.hpp"
 #include "common/strings.hpp"
-#include "common/task.hpp"
-#include "engine/map.hpp"
 #include "testbed/testbed.hpp"
 
 namespace iotls::testbed {
@@ -237,10 +235,9 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
   // the dataset (and its TSV) is byte-identical to the serial one.
   std::vector<std::size_t> indices(profiles.size());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  auto per_device = engine::map(
-      options.threads, options.engine, indices,
-      [&](std::size_t p, engine::Engine* eng)
-          -> common::Task<std::vector<PassiveConnectionGroup>> {
+  auto per_device = common::parallel_map(
+      options.threads, indices,
+      [&](std::size_t p) {
         const auto& profile = *profiles[p];
         Testbed::Options tb_options;
         tb_options.seed = options.seed;
@@ -248,7 +245,6 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
         tb_options.active_only = false;
         tb_options.devices = {profile.name};
         Testbed testbed(tb_options);
-        if (eng != nullptr) testbed.set_engine(eng);
         DeviceRuntime& runtime = testbed.runtime(profile.name);
 
         std::vector<PassiveConnectionGroup> groups;
@@ -261,7 +257,7 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
           for (const auto& dest : profile.destinations) {
             const std::uint64_t count = counts[p][draw++];
             const std::size_t before = testbed.network().capture().size();
-            (void)co_await runtime.connect_to_task(dest, testbed.date());
+            (void)runtime.connect_to(dest, testbed.date());
             const auto& records = testbed.network().capture().records();
 
             // connect_to may have produced two captures (fallback retry);
@@ -275,7 +271,7 @@ PassiveDataset generate_passive_dataset(const GeneratorOptions& options) {
             }
           }
         }
-        co_return groups;
+        return groups;
       });
 
   PassiveDataset dataset;

@@ -64,10 +64,6 @@ struct GeneratorOptions {
   /// byte-identical for every value: connection counts are drawn serially
   /// up front and each device replays its handshakes in a sandbox.
   std::size_t threads = 0;
-  /// Replay each device's capture through a per-worker session engine
-  /// (src/engine/) instead of dedicated synchronous transports; the
-  /// dataset stays byte-identical.
-  bool engine = false;
 };
 
 PassiveDataset generate_passive_dataset(

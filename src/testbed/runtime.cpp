@@ -97,38 +97,6 @@ tls::ClientResult DeviceRuntime::run_connection(
   return result;
 }
 
-common::Task<tls::ClientResult> DeviceRuntime::run_connection_task(
-    const devices::DestinationSpec& dest, const tls::ClientConfig& config,
-    common::SimDate now) {
-  if (engine_ == nullptr) {
-    // Synchronous path, bit-for-bit: same transport, same profiling zone.
-    co_return run_connection(dest, config, now);
-  }
-  auto connection =
-      network_.open(*engine_, dest.hostname, profile_.name, now.to_month());
-  if (obs::metrics_enabled()) RuntimeMetrics::get().connections.inc();
-  // Per-connection stream: split on the counter first (so every attempt —
-  // including fallback retries — gets an unrelated stream), then on the
-  // hostname. Pure function of (seed, counter, hostname): replaying a
-  // device reproduces every connection's randomness regardless of what
-  // other devices or workers are doing.
-  common::Rng rng(common::split_seed(
-      common::split_seed(profile_.seed, connection_counter_++),
-      "conn:" + dest.hostname));
-  tls::ClientConfig traced_config = config;
-  if (connection.span != nullptr) traced_config.span = connection.span.get();
-  tls::TlsClient client(std::move(traced_config), &roots_, rng, now);
-
-  const common::Bytes payload =
-      dest.sensitive_payload.empty()
-          ? common::to_bytes("GET /telemetry?device=" + profile_.name)
-          : common::to_bytes(dest.sensitive_payload);
-  tls::ClientResult result = co_await client.connect_task(
-      *connection.conduit, dest.hostname, payload);
-  network_.finish(connection);
-  co_return result;
-}
-
 void DeviceRuntime::note_outcome(const tls::ClientResult& result) {
   if (result.success()) {
     consecutive_failures_ = 0;
@@ -141,12 +109,11 @@ void DeviceRuntime::note_outcome(const tls::ClientResult& result) {
   }
 }
 
-common::Task<ConnectionOutcome> DeviceRuntime::connect_to_task(
+ConnectionOutcome DeviceRuntime::connect_to(
     const devices::DestinationSpec& dest, common::SimDate now) {
   ConnectionOutcome outcome;
   outcome.destination = &dest;
-  outcome.result =
-      co_await run_connection_task(dest, effective_config(dest, now), now);
+  outcome.result = run_connection(dest, effective_config(dest, now), now);
   note_outcome(outcome.result);
 
   // Table 5: retry with the downgraded configuration on failure.
@@ -171,33 +138,22 @@ common::Task<ConnectionOutcome> DeviceRuntime::connect_to_task(
             .inc();
       }
       outcome.used_fallback = true;
-      outcome.fallback_result =
-          co_await run_connection_task(dest, fallback_config, now);
+      outcome.fallback_result = run_connection(dest, fallback_config, now);
       note_outcome(*outcome.fallback_result);
     }
   }
-  co_return outcome;
-}
-
-ConnectionOutcome DeviceRuntime::connect_to(
-    const devices::DestinationSpec& dest, common::SimDate now) {
-  return common::run_sync(connect_to_task(dest, now));
-}
-
-common::Task<BootResult> DeviceRuntime::boot_task(
-    common::SimDate now, bool include_intermittent) {
-  ++boot_counter_;
-  BootResult result;
-  for (const auto& dest : profile_.destinations) {
-    if (dest.intermittent && !include_intermittent) continue;
-    result.connections.push_back(co_await connect_to_task(dest, now));
-  }
-  co_return result;
+  return outcome;
 }
 
 BootResult DeviceRuntime::boot(common::SimDate now,
                                bool include_intermittent) {
-  return common::run_sync(boot_task(now, include_intermittent));
+  ++boot_counter_;
+  BootResult result;
+  for (const auto& dest : profile_.destinations) {
+    if (dest.intermittent && !include_intermittent) continue;
+    result.connections.push_back(connect_to(dest, now));
+  }
+  return result;
 }
 
 void DeviceRuntime::reset_failure_state() {

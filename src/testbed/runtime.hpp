@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/task.hpp"
 #include "devices/catalog.hpp"
 #include "net/network.hpp"
 #include "pki/universe.hpp"
@@ -57,23 +56,6 @@ class DeviceRuntime {
   ConnectionOutcome connect_to(const devices::DestinationSpec& dest,
                                common::SimDate now);
 
-  /// Route this runtime's connections through a session engine (nullptr =
-  /// back to dedicated synchronous transports). With an engine set, use
-  /// the *_task variants from inside an engine chain; the synchronous
-  /// boot()/connect_to() wrappers would throw on suspension.
-  void set_engine(engine::Engine* engine) { engine_ = engine; }
-  [[nodiscard]] engine::Engine* engine() const { return engine_; }
-
-  /// Coroutine twins of boot()/connect_to(): identical logic and RNG
-  /// consumption, but each connection suspends on the engine's conduit so
-  /// thousands of runtimes interleave per worker thread. With no engine
-  /// set they never suspend, and the wrappers above are exactly
-  /// run_sync(...) over them.
-  common::Task<BootResult> boot_task(common::SimDate now,
-                                     bool include_intermittent = false);
-  common::Task<ConnectionOutcome> connect_to_task(
-      const devices::DestinationSpec& dest, common::SimDate now);
-
   [[nodiscard]] const devices::DeviceProfile& profile() const {
     return profile_;
   }
@@ -89,16 +71,12 @@ class DeviceRuntime {
   tls::ClientResult run_connection(const devices::DestinationSpec& dest,
                                    const tls::ClientConfig& config,
                                    common::SimDate now);
-  common::Task<tls::ClientResult> run_connection_task(
-      const devices::DestinationSpec& dest, const tls::ClientConfig& config,
-      common::SimDate now);
   void note_outcome(const tls::ClientResult& result);
 
   const devices::DeviceProfile& profile_;
   net::Network& network_;
   pki::RootStore roots_;
   const pki::RevocationList* revocations_;
-  engine::Engine* engine_ = nullptr;
   std::uint64_t boot_counter_ = 0;
   std::uint64_t connection_counter_ = 0;
   int consecutive_failures_ = 0;

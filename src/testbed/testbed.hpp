@@ -71,13 +71,6 @@ class Testbed {
   void set_trace(obs::TraceLog* trace) { network_.set_trace(trace); }
   [[nodiscard]] obs::TraceLog* trace() const { return network_.trace(); }
 
-  /// Route every runtime's connections through a session engine (nullptr =
-  /// back to synchronous transports). Called by the experiment drivers on
-  /// per-device sandboxes before running chains through engine::map.
-  void set_engine(engine::Engine* engine) {
-    for (auto& [name, runtime] : runtimes_) runtime->set_engine(engine);
-  }
-
  private:
   Options options_;
   const pki::CaUniverse* universe_;

@@ -88,9 +88,10 @@ ClientHello TlsClient::build_hello(const std::string& hostname) {
   return build_client_hello(config_, hostname, rng_);
 }
 
-common::Task<ClientResult> TlsClient::connect_body(
-    RecordIo& io, const std::string& hostname,
-    const common::Bytes& app_payload, const ResumptionState* resume) {
+ClientResult TlsClient::connect_body(Transport& transport,
+                                     const std::string& hostname,
+                                     common::BytesView app_payload,
+                                     const ResumptionState* resume) {
   ClientResult result;
   result.hello = build_client_hello(
       config_, hostname, rng_,
@@ -105,18 +106,18 @@ common::Task<ClientResult> TlsClient::connect_body(
   const auto hello_msg =
       HandshakeMessage::wrap(HandshakeType::ClientHello, result.hello);
   track(hello_msg);
-  io.emit(TlsRecord{ContentType::Handshake,
-                    result.hello.legacy_version,
-                    hello_msg.serialize()});
+  transport.send(TlsRecord{ContentType::Handshake,
+                           result.hello.legacy_version,
+                           hello_msg.serialize()});
 
   auto abort_with_alert = [&](AlertDescription desc,
                               HandshakeOutcome outcome) {
     const Alert alert{AlertLevel::Fatal, desc};
     result.alert_sent = alert;
-    io.emit(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
-                      alert.serialize()});
+    transport.send(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
+                             alert.serialize()});
     result.outcome = outcome;
-    io.finish();
+    transport.close();
     return result;
   };
 
@@ -130,30 +131,30 @@ common::Task<ClientResult> TlsClient::connect_body(
   bool hello_done = false;
 
   while (!hello_done) {
-    const auto record = co_await next_record(io);
+    const auto record = transport.receive();
     if (!record) {
       result.outcome = server_hello.has_value()
                            ? HandshakeOutcome::ProtocolViolation
                            : HandshakeOutcome::NoServerResponse;
-      io.finish();
-      co_return result;
+      transport.close();
+      return result;
     }
     if (record->type == ContentType::Alert) {
       result.alert_received = Alert::parse(record->payload);
       result.outcome = HandshakeOutcome::ServerAlert;
-      io.finish();
-      co_return result;
+      transport.close();
+      return result;
     }
     if (record->type != ContentType::Handshake) {
-      co_return abort_with_alert(AlertDescription::UnexpectedMessage,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::UnexpectedMessage,
+                              HandshakeOutcome::ProtocolViolation);
     }
     HandshakeMessage msg;
     try {
       msg = HandshakeMessage::parse(record->payload);
     } catch (const common::ParseError&) {
-      co_return abort_with_alert(AlertDescription::DecodeError,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::DecodeError,
+                              HandshakeOutcome::ProtocolViolation);
     }
     bool bad_message = false;
     try {
@@ -200,12 +201,12 @@ common::Task<ClientResult> TlsClient::connect_body(
           break;
       }
     } catch (const common::ParseError&) {
-      co_return abort_with_alert(AlertDescription::DecodeError,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::DecodeError,
+                              HandshakeOutcome::ProtocolViolation);
     }
     if (bad_message) {
-      co_return abort_with_alert(AlertDescription::UnexpectedMessage,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::UnexpectedMessage,
+                              HandshakeOutcome::ProtocolViolation);
     }
     // The abbreviated flight's Finished is verified over the CH+SH
     // transcript, so both it and the re-issued ticket riding with it are
@@ -224,8 +225,8 @@ common::Task<ClientResult> TlsClient::connect_body(
     const std::uint16_t resumed_suite = server_hello->cipher_suite;
     if (!config_.supports(resumed_version) ||
         resumed_suite != resume->cipher_suite) {
-      co_return abort_with_alert(AlertDescription::IllegalParameter,
-                                 HandshakeOutcome::NegotiationRejected);
+      return abort_with_alert(AlertDescription::IllegalParameter,
+                              HandshakeOutcome::NegotiationRejected);
     }
     result.negotiated_version = resumed_version;
     result.negotiated_suite = resumed_suite;
@@ -235,18 +236,18 @@ common::Task<ClientResult> TlsClient::connect_body(
         resume->master_secret, /*from_client=*/false, resumed_hash);
     if (!common::constant_time_equal(resumed_server_fin->verify_data,
                                      expected)) {
-      co_return abort_with_alert(AlertDescription::DecryptError,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::DecryptError,
+                              HandshakeOutcome::ProtocolViolation);
     }
 
     Finished client_fin;
     client_fin.verify_data = compute_verify_data(
         resume->master_secret, /*from_client=*/true, resumed_hash);
-    io.emit(TlsRecord{ContentType::Handshake,
-                      ProtocolVersion::Tls1_2,
-                      HandshakeMessage::wrap(HandshakeType::Finished,
-                                             client_fin)
-                          .serialize()});
+    transport.send(TlsRecord{ContentType::Handshake,
+                             ProtocolVersion::Tls1_2,
+                             HandshakeMessage::wrap(HandshakeType::Finished,
+                                                    client_fin)
+                                 .serialize()});
 
     const SessionKeys keys = derive_resumed_keys(
         resume->master_secret, result.hello.random, server_hello->random,
@@ -271,11 +272,11 @@ common::Task<ClientResult> TlsClient::connect_body(
       RecordProtection recv_protection(resumed_suite, keys.server_key,
                                        keys.server_mac_key,
                                        keys.server_nonce);
-      io.emit(TlsRecord{
+      transport.send(TlsRecord{
           ContentType::ApplicationData,
           std::min(resumed_version, ProtocolVersion::Tls1_2),
           send_protection.protect(app_payload)});
-      const auto response = co_await next_record(io);
+      const auto response = transport.receive();
       if (response && response->type == ContentType::ApplicationData) {
         try {
           result.app_response_plaintext =
@@ -285,13 +286,13 @@ common::Task<ClientResult> TlsClient::connect_body(
         }
       }
     }
-    io.finish();
-    co_return result;
+    transport.close();
+    return result;
   }
 
   if (!server_hello || !cert_msg) {
-    co_return abort_with_alert(AlertDescription::UnexpectedMessage,
-                               HandshakeOutcome::ProtocolViolation);
+    return abort_with_alert(AlertDescription::UnexpectedMessage,
+                            HandshakeOutcome::ProtocolViolation);
   }
   result.server_hello = server_hello;
   result.server_chain = cert_msg->chain;
@@ -299,14 +300,14 @@ common::Task<ClientResult> TlsClient::connect_body(
   // --- Negotiation checks ---
   const ProtocolVersion version = server_hello->negotiated_version();
   if (!config_.supports(version)) {
-    co_return abort_with_alert(AlertDescription::ProtocolVersion,
-                               HandshakeOutcome::NegotiationRejected);
+    return abort_with_alert(AlertDescription::ProtocolVersion,
+                            HandshakeOutcome::NegotiationRejected);
   }
   const std::uint16_t suite = server_hello->cipher_suite;
   if (std::find(config_.cipher_suites.begin(), config_.cipher_suites.end(),
                 suite) == config_.cipher_suites.end()) {
-    co_return abort_with_alert(AlertDescription::HandshakeFailure,
-                               HandshakeOutcome::NegotiationRejected);
+    return abort_with_alert(AlertDescription::HandshakeFailure,
+                            HandshakeOutcome::NegotiationRejected);
   }
   result.negotiated_version = version;
   result.negotiated_suite = suite;
@@ -321,10 +322,10 @@ common::Task<ClientResult> TlsClient::connect_body(
     const auto alert = alert_for_verify_error(config_.library, error);
     if (alert.has_value() && !suppressed) {
       result.alert_sent = alert;
-      io.emit(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
-                        alert->serialize()});
+      transport.send(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
+                               alert->serialize()});
     }
-    io.finish();
+    transport.close();
     return result;
   };
 
@@ -336,7 +337,7 @@ common::Task<ClientResult> TlsClient::connect_body(
         result.server_chain[0].fingerprint() !=
             *config_.pinned_leaf_fingerprint) {
       result.verify_failed_depth = 0;  // the pin is a leaf check
-      co_return fail_validation(x509::VerifyError::PinMismatch);
+      return fail_validation(x509::VerifyError::PinMismatch);
     }
   }
 
@@ -348,7 +349,7 @@ common::Task<ClientResult> TlsClient::connect_body(
       store.roots(), now_, config_.verify_policy, config_.span);
   if (!verify.ok()) {
     result.verify_failed_depth = verify.failed_depth;
-    co_return fail_validation(verify.error);
+    return fail_validation(verify.error);
   }
 
   // --- Revocation (§6 extension; Table 8 CRL/OCSP clients) ---
@@ -361,10 +362,10 @@ common::Task<ClientResult> TlsClient::connect_body(
     result.verify_failed_depth = 0;  // revocation is checked on the leaf
     result.outcome = HandshakeOutcome::ValidationFailed;
     result.alert_sent = alert;
-    io.emit(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
-                      alert.serialize()});
-    io.finish();
-    co_return result;
+    transport.send(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
+                             alert.serialize()});
+    transport.close();
+    return result;
   }
 
   const CipherSuiteInfo* info = suite_info(suite);
@@ -377,8 +378,8 @@ common::Task<ClientResult> TlsClient::connect_body(
   // --- ServerKeyExchange signature check (the server proves possession of
   // the certified key) ---
   if (ephemeral && !ske.has_value()) {
-    co_return abort_with_alert(AlertDescription::UnexpectedMessage,
-                               HandshakeOutcome::ProtocolViolation);
+    return abort_with_alert(AlertDescription::UnexpectedMessage,
+                            HandshakeOutcome::ProtocolViolation);
   }
   if (ephemeral && !anonymous && config_.verify_policy.validate &&
       config_.verify_policy.check_signature && !result.server_chain.empty()) {
@@ -394,11 +395,11 @@ common::Task<ClientResult> TlsClient::connect_body(
           config_.library, x509::VerifyError::BadSignature);
       if (alert.has_value()) {
         result.alert_sent = alert;
-        io.emit(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
-                          alert->serialize()});
+        transport.send(TlsRecord{ContentType::Alert, ProtocolVersion::Tls1_2,
+                                 alert->serialize()});
       }
-      io.finish();
-      co_return result;
+      transport.close();
+      return result;
     }
   }
 
@@ -412,8 +413,8 @@ common::Task<ClientResult> TlsClient::connect_body(
     cke.exchange_data = dh_keys.pub;
   } else {
     if (result.server_chain.empty()) {
-      co_return abort_with_alert(AlertDescription::HandshakeFailure,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::HandshakeFailure,
+                              HandshakeOutcome::ProtocolViolation);
     }
     premaster = rng_.bytes(48);
     cke.exchange_data =
@@ -423,8 +424,8 @@ common::Task<ClientResult> TlsClient::connect_body(
   const auto cke_msg =
       HandshakeMessage::wrap(HandshakeType::ClientKeyExchange, cke);
   track(cke_msg);
-  io.emit(TlsRecord{ContentType::Handshake, ProtocolVersion::Tls1_2,
-                    cke_msg.serialize()});
+  transport.send(TlsRecord{ContentType::Handshake, ProtocolVersion::Tls1_2,
+                           cke_msg.serialize()});
 
   const SessionKeys keys = derive_session_keys(
       premaster, result.hello.random, server_hello->random, suite);
@@ -436,16 +437,16 @@ common::Task<ClientResult> TlsClient::connect_body(
       compute_verify_data(keys.master_secret, /*from_client=*/true,
                           transcript_hash);
   const auto fin_msg = HandshakeMessage::wrap(HandshakeType::Finished, fin);
-  io.emit(TlsRecord{ContentType::Handshake, ProtocolVersion::Tls1_2,
-                    fin_msg.serialize()});
+  transport.send(TlsRecord{ContentType::Handshake, ProtocolVersion::Tls1_2,
+                           fin_msg.serialize()});
 
   bool server_finished = false;
   while (!server_finished) {
-    const auto server_record = co_await next_record(io);
+    const auto server_record = transport.receive();
     if (!server_record || server_record->type != ContentType::Handshake) {
       result.outcome = HandshakeOutcome::ProtocolViolation;
-      io.finish();
-      co_return result;
+      transport.close();
+      return result;
     }
     bool bad_message = false;
     try {
@@ -466,18 +467,18 @@ common::Task<ClientResult> TlsClient::connect_body(
         const auto expected = compute_verify_data(
             keys.master_secret, /*from_client=*/false, transcript_hash);
         if (!common::constant_time_equal(server_fin.verify_data, expected)) {
-          co_return abort_with_alert(AlertDescription::DecryptError,
-                                     HandshakeOutcome::ProtocolViolation);
+          return abort_with_alert(AlertDescription::DecryptError,
+                                  HandshakeOutcome::ProtocolViolation);
         }
         server_finished = true;
       }
     } catch (const common::ParseError&) {
-      co_return abort_with_alert(AlertDescription::DecodeError,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::DecodeError,
+                              HandshakeOutcome::ProtocolViolation);
     }
     if (bad_message) {
-      co_return abort_with_alert(AlertDescription::UnexpectedMessage,
-                                 HandshakeOutcome::ProtocolViolation);
+      return abort_with_alert(AlertDescription::UnexpectedMessage,
+                              HandshakeOutcome::ProtocolViolation);
     }
   }
 
@@ -489,11 +490,11 @@ common::Task<ClientResult> TlsClient::connect_body(
                                      keys.client_mac_key, keys.client_nonce);
     RecordProtection recv_protection(suite, keys.server_key,
                                      keys.server_mac_key, keys.server_nonce);
-    io.emit(TlsRecord{
+    transport.send(TlsRecord{
         ContentType::ApplicationData,
         std::min(version, ProtocolVersion::Tls1_2),
         send_protection.protect(app_payload)});
-    const auto response = co_await next_record(io);
+    const auto response = transport.receive();
     if (response && response->type == ContentType::ApplicationData) {
       try {
         result.app_response_plaintext =
@@ -505,8 +506,8 @@ common::Task<ClientResult> TlsClient::connect_body(
     }
   }
 
-  io.finish();
-  co_return result;
+  transport.close();
+  return result;
 }
 
 namespace {
@@ -590,13 +591,14 @@ void trace_result(obs::Span& span, const ClientResult& result,
 
 }  // namespace
 
-common::Task<ClientResult> TlsClient::connect_task(
-    RecordIo& io, std::string hostname, common::Bytes app_payload,
-    const ResumptionState* resume) {
+ClientResult TlsClient::connect(Transport& transport,
+                                const std::string& hostname,
+                                common::BytesView app_payload,
+                                const ResumptionState* resume) {
+  const obs::ProfileZone zone("tls/client_connect");
   obs::Span* span = config_.span;
-  if (span != nullptr && span->enabled()) io.attach_span(span);
-  ClientResult result =
-      co_await connect_body(io, hostname, app_payload, resume);
+  if (span != nullptr && span->enabled()) transport.set_span(span);
+  ClientResult result = connect_body(transport, hostname, app_payload, resume);
   if (span != nullptr && span->enabled()) {
     trace_result(*span, result, config_.verify_policy, resume != nullptr);
   }
@@ -618,18 +620,7 @@ common::Task<ClientResult> TlsClient::connect_task(
           .inc();
     }
   }
-  co_return result;
-}
-
-ClientResult TlsClient::connect(Transport& transport,
-                                const std::string& hostname,
-                                common::BytesView app_payload,
-                                const ResumptionState* resume) {
-  const obs::ProfileZone zone("tls/client_connect");
-  SyncRecordIo io(transport);
-  return common::run_sync(connect_task(
-      io, hostname, common::Bytes(app_payload.begin(), app_payload.end()),
-      resume));
+  return result;
 }
 
 }  // namespace iotls::tls

@@ -12,13 +12,11 @@
 
 #include "common/rng.hpp"
 #include "common/simtime.hpp"
-#include "common/task.hpp"
 #include "obs/trace.hpp"
 #include "pki/revocation.hpp"
 #include "pki/root_store.hpp"
 #include "tls/messages.hpp"
 #include "tls/profile.hpp"
-#include "tls/record_io.hpp"
 #include "tls/secrets.hpp"
 #include "tls/transport.hpp"
 #include "x509/verify.hpp"
@@ -146,25 +144,13 @@ class TlsClient {
                        common::BytesView app_payload = {},
                        const ResumptionState* resume = nullptr);
 
-  /// The same connection attempt as a resumable coroutine over a RecordIo.
-  /// connect() is exactly `run_sync(connect_task(SyncRecordIo(...), ...))`;
-  /// the session engine (src/engine/) drives the identical body against an
-  /// arena-backed Conduit, interleaving thousands of tasks per thread.
-  /// Trace events and metrics are recorded inside the task, so both
-  /// schedulers observe identically. `io` and `resume` (non-owning) must
-  /// outlive the task; the client object must too.
-  common::Task<ClientResult> connect_task(
-      RecordIo& io, std::string hostname, common::Bytes app_payload = {},
-      const ResumptionState* resume = nullptr);
-
   [[nodiscard]] const ClientConfig& config() const { return config_; }
 
  private:
   ClientHello build_hello(const std::string& hostname);
-  common::Task<ClientResult> connect_body(RecordIo& io,
-                                          const std::string& hostname,
-                                          const common::Bytes& app_payload,
-                                          const ResumptionState* resume);
+  ClientResult connect_body(Transport& transport, const std::string& hostname,
+                            common::BytesView app_payload,
+                            const ResumptionState* resume);
 
   ClientConfig config_;
   const pki::RootStore* roots_;

@@ -5,12 +5,9 @@
 // client to read. The gateway capture and the interceptor both slot in as
 // taps/wrappers around this interface — equivalent to the paper's on-path
 // vantage point, with no threads and perfect reproducibility.
-//
-// The session engine (src/engine/) replaces this class with an arena-backed
-// Conduit for interleaved connections; both report through the shared
-// RecordLedger so observability output is identical across schedulers.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -18,7 +15,6 @@
 
 #include "obs/trace.hpp"
 #include "tls/record.hpp"
-#include "tls/record_ledger.hpp"
 
 namespace iotls::tls {
 
@@ -49,7 +45,7 @@ class Transport {
   /// TraceLevel::Full every record in both directions becomes a `record`
   /// event; at any enabled level close() emits a `close` event with the
   /// record/byte totals.
-  void set_span(obs::Span* span) { ledger_.set_span(span); }
+  void set_span(obs::Span* span) { span_ = span; }
 
   /// Send a record; the session's replies become readable via receive().
   void send(const TlsRecord& record);
@@ -66,15 +62,26 @@ class Transport {
   /// most `unread + compaction threshold`.
   [[nodiscard]] std::size_t inbox_retained() const { return inbox_.size(); }
 
+  /// Close the connection: per-connection histograms, a `close` span
+  /// event with the record/byte totals, and the session's on_close().
+  /// Idempotent.
   void close();
 
  private:
+  /// Account one record on the wire (metrics counters; at TraceLevel::Full
+  /// a `record` span event with direction/type/bytes/message).
+  void note(bool client_to_server, const TlsRecord& record);
+
   std::shared_ptr<ServerSession> session_;
   std::vector<TlsRecord> inbox_;
   std::size_t inbox_pos_ = 0;
   std::vector<Tap> taps_;
   bool closed_ = false;
-  RecordLedger ledger_;
+  obs::Span* span_ = nullptr;
+  std::size_t records_to_server_ = 0;
+  std::size_t records_to_client_ = 0;
+  std::size_t bytes_to_server_ = 0;
+  std::size_t bytes_to_client_ = 0;
 };
 
 }  // namespace iotls::tls

@@ -3,6 +3,7 @@
 // the shard-name helpers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -180,6 +181,34 @@ TEST(FleetRegions, NamesAndIterationAgree) {
   EXPECT_EQ(age_bucket_name(6), "6mo");
   EXPECT_EQ(age_bucket_name(12), "12mo");
   EXPECT_EQ(age_bucket_name(13), "old");
+}
+
+// iotls-fleet CLI: --sample takes a finite fraction in [0,1]. strtod
+// parses "nan", which fails both range comparisons, so the check must be
+// written to reject it.
+int run_fleet_cli(const std::string& args) {
+  const std::string cmd = std::string(IOTLS_FLEET_BIN) + " " + args +
+                          " > /dev/null 2> /dev/null";
+  const int status = std::system(cmd.c_str());
+  return WEXITSTATUS(status);
+}
+
+TEST(FleetCli, SampleMustBeAFiniteFractionInUnitRange) {
+  for (const char* bad : {"nan", "-nan", "NAN", "inf", "-inf", "1.5", "-0.1",
+                          "half", "0.5x", ""}) {
+    EXPECT_EQ(run_fleet_cli("campaign --instances 1 --threads 1 --sample '" +
+                            std::string(bad) + "'"),
+              2)
+        << "--sample " << bad;
+  }
+  // Accepted fractions reach the next argument (which is then rejected,
+  // so no campaign runs).
+  for (const char* good : {"0", "0.25", "1", "1e-3"}) {
+    EXPECT_EQ(run_fleet_cli("campaign --sample " + std::string(good) +
+                            " --no-such-flag"),
+              2)
+        << "--sample " << good;
+  }
 }
 
 }  // namespace

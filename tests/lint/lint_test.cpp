@@ -228,36 +228,6 @@ TEST(LintRules, TimingHygieneAllowedFragmentsAreExempt) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: engine-blocking-io
-// ---------------------------------------------------------------------------
-
-RuleConfig engine_io_config() {
-  RuleConfig config = fixture_config();
-  // Bring the fixture corpus into the rule's scope (in the real tree the
-  // default fragment covers src/engine/).
-  config.engine_scope_fragments = {"engine_io"};
-  return config;
-}
-
-TEST(LintRules, EngineBlockingIoFiresOnTransportRoundTrips) {
-  const auto findings =
-      run_fixtures({"bad_engine_io.cpp"}, engine_io_config());
-  const std::set<int> expected = {4, 5, 6, 8};
-  EXPECT_EQ(lines_for_rule(findings, "engine-blocking-io"), expected);
-}
-
-TEST(LintRules, EngineBlockingIoIgnoresConduitCallsAndHonorsAllow) {
-  EXPECT_TRUE(
-      run_fixtures({"good_engine_io.cpp"}, engine_io_config()).empty());
-}
-
-TEST(LintRules, EngineBlockingIoDefaultScopeExcludesOtherDirectories) {
-  // Under the default config the fixtures sit outside src/engine/, so the
-  // same bad file produces nothing.
-  EXPECT_TRUE(run_fixtures({"bad_engine_io.cpp"}, fixture_config()).empty());
-}
-
-// ---------------------------------------------------------------------------
 // Rule: alert-exhaustive
 // ---------------------------------------------------------------------------
 

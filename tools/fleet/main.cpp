@@ -1,10 +1,10 @@
 // iotls-fleet — million-device fleet synthesis + scan campaign CLI
-// (DESIGN.md §15).
+// (DESIGN.md §14).
 //
 // Usage:
 //   iotls-fleet synth <out-dir> [--instances N] [--seed N] [--threads N]
 //       [--shard-instances N] [--devices a,b,...] [--resume]
-//   iotls-fleet campaign [--instances N] [--seed N] [--threads N] [--engine]
+//   iotls-fleet campaign [--instances N] [--seed N] [--threads N]
 //       [--sample F] [--store <dir>] [--devices a,b,...]
 //
 // Exit codes: 0 success, 1 fleet/store error (the typed class name is
@@ -30,7 +30,7 @@ int usage(const std::string& error) {
                "[--threads N]\n"
                "      [--shard-instances N] [--devices a,b,...] [--resume]\n"
                "  iotls-fleet campaign [--instances N] [--seed N] "
-               "[--threads N] [--engine]\n"
+               "[--threads N]\n"
                "      [--sample F] [--store <dir>] [--devices a,b,...]\n";
   return 2;
 }
@@ -107,9 +107,7 @@ int cmd_campaign(const std::vector<std::string>& args) {
   iotls::fleet::CampaignOptions options;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--engine") {
-      options.engine = true;
-    } else if (arg == "--instances" || arg == "--seed" || arg == "--threads") {
+    if (arg == "--instances" || arg == "--seed" || arg == "--threads") {
       if (i + 1 == args.size()) return usage(arg + " needs a value");
       std::uint64_t value = 0;
       const int rc = parse_number(arg, args[++i], &value);
@@ -122,7 +120,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
       const std::string& v = args[++i];
       char* end = nullptr;
       const double fraction = std::strtod(v.c_str(), &end);
-      if (end != v.c_str() + v.size() || fraction < 0.0 || fraction > 1.0) {
+      // Written so NaN (which strtod accepts) fails the range test.
+      if (v.empty() || end != v.c_str() + v.size() ||
+          !(fraction >= 0.0 && fraction <= 1.0)) {
         return usage("--sample: not a fraction in [0,1]: " + v);
       }
       options.sample_fraction.fill(fraction);

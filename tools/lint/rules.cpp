@@ -24,7 +24,7 @@ using tok::skip_balanced;
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 // ---------------------------------------------------------------------------
-// Token helpers (v2 copies; rules_v1.cpp keeps its own frozen versions)
+// Token helpers
 // ---------------------------------------------------------------------------
 
 bool next_is_call(const Tokens& toks, std::size_t i) {
@@ -335,39 +335,6 @@ void rule_timing_hygiene(const SourceFile& file, const RuleConfig& config,
                       t.text + "::now() outside src/obs/; measure through "
                       "obs::WallTimer or obs::profile_now_ns so clock reads "
                       "stay auditable"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: engine-blocking-io (ported token rule)
-// ---------------------------------------------------------------------------
-
-const std::set<std::string>& blocking_transport_calls() {
-  static const std::set<std::string> kCalls = {"send", "receive"};
-  return kCalls;
-}
-
-void rule_engine_blocking_io(const SourceFile& file, const RuleConfig& config,
-                             std::vector<Finding>* out) {
-  if (!path_has_fragment(file.path, config.engine_scope_fragments)) return;
-  const Tokens& toks = file.lex.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokenKind::Ident) continue;
-    if (blocking_transport_calls().count(t.text) != 0 && i > 0 &&
-        (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->")) &&
-        next_is_call(toks, i)) {
-      out->push_back({file.path, t.line, "engine-blocking-io",
-                      "." + t.text + "() is a blocking Transport round-trip; "
-                      "engine code queues flights through Conduit::emit and "
-                      "resumes on the next tick"});
-    } else if (is_ident(t, "Transport") && i + 1 < toks.size() &&
-               toks[i + 1].kind == TokenKind::Ident) {
-      out->push_back({file.path, t.line, "engine-blocking-io",
-                      "Transport object in engine code; open a Conduit via "
-                      "Engine::open_conduit so the connection joins the "
-                      "batched tick loop"});
     }
   }
 }
@@ -1192,7 +1159,6 @@ const std::vector<std::string>& rule_names() {
       "alert-exhaustive",
       "banned-api",
       "determinism",
-      "engine-blocking-io",
       "include-hygiene",
       "lock-across-suspension",
       "raw-io",
@@ -1260,12 +1226,6 @@ RunResult run_rules_full(const std::vector<SourceFile>& files,
        [](const Ctx& c, std::vector<Finding>* out) {
          for (const auto& file : c.files) {
            rule_timing_hygiene(file, c.config, out);
-         }
-       }},
-      {"engine-blocking-io",
-       [](const Ctx& c, std::vector<Finding>* out) {
-         for (const auto& file : c.files) {
-           rule_engine_blocking_io(file, c.config, out);
          }
        }},
       {"alert-exhaustive", rule_alert_exhaustive},

@@ -1,7 +1,7 @@
-// iotls-lint v2 rule engine: token rules ported from v1 plus CFG/dataflow
-// rules over the scoped parser (parse.hpp, cfg.hpp, dataflow.hpp).
+// iotls-lint rule engine: token rules plus CFG/dataflow rules over the
+// scoped parser (parse.hpp, cfg.hpp, dataflow.hpp).
 //
-// Eleven named rules enforce the project invariants review keeps
+// Ten named rules enforce the project invariants review keeps
 // re-checking by hand (DESIGN.md §9):
 //
 //   determinism      no wall-clock / ambient randomness / getenv / pointer
@@ -14,14 +14,11 @@
 //                    code outside the CheckedFile chokepoint
 //   timing-hygiene   no raw std::chrono clock reads outside the obs timing
 //                    chokepoint and the bench harness
-//   engine-blocking-io
-//                    no blocking Transport::send/receive round-trips in
-//                    session-engine code
 //   lock-across-suspension
 //                    no std::mutex / lock_guard / unique_lock region that
 //                    spans a co_await/co_yield suspension edge in coroutine
-//                    code — a parked coroutine resumes on a later tick with
-//                    the mutex still held, deadlocking the batch
+//                    code — a parked coroutine resumes later with the mutex
+//                    still held, deadlocking its peers
 //   thread-local-across-suspension
 //                    no thread_local state (or RAII types over it: the
 //                    ProfileZone cursor) live on both
@@ -85,7 +82,7 @@ struct RuleConfig {
   /// reads shards, so it inherits the store's discipline.
   std::vector<std::string> raw_io_scope_fragments = {
       "src/store/", "tools/store/", "src/query/", "tools/query/",
-      "src/engine/", "src/fleet/", "tools/fleet/"};
+      "src/fleet/", "tools/fleet/"};
   /// The chokepoint implementation itself — the one file in scope allowed
   /// to touch raw stdio.
   std::vector<std::string> raw_io_allowed_files = {"src/store/io.cpp"};
@@ -96,13 +93,6 @@ struct RuleConfig {
   /// obs::profile_now_ns so clock access stays auditable in one place.
   std::vector<std::string> timing_allowed_fragments = {"src/obs/", "bench/"};
 
-  /// Scope of the `engine-blocking-io` rule: files whose repo-relative
-  /// path contains one of these fragments must not make blocking
-  /// Transport-style send/receive round-trips — engine code queues
-  /// through Conduit::emit / take_record so thousands of connections can
-  /// interleave per tick.
-  std::vector<std::string> engine_scope_fragments = {"src/engine/"};
-
   // ---- coroutine-safety rules (lock/thread-local across suspension) ----
 
   /// RAII lock types whose lifetime may not span a suspension edge.
@@ -110,7 +100,7 @@ struct RuleConfig {
                                          "scoped_lock", "shared_lock"};
   /// RAII types whose constructor/destructor touch thread_local state
   /// (the ProfileZone cursor): constructing one before a suspension and
-  /// destroying it after is a cross-thread hazard once the engine resumes
+  /// destroying it after is a cross-thread hazard once a scheduler resumes
   /// the coroutine elsewhere.
   std::vector<std::string> thread_local_raii_types = {"ProfileZone"};
 

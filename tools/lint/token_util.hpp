@@ -1,6 +1,4 @@
-// Shared token-stream helpers for the v2 analyzer (parse.cpp, rules.cpp).
-// rules_v1.cpp keeps its own frozen copies: the v1 oracle must not change
-// behavior when these evolve.
+// Shared token-stream helpers for the analyzer (parse.cpp, rules.cpp).
 #pragma once
 
 #include <cstddef>
