@@ -1,6 +1,7 @@
-// Capture-store lane: shard write/read throughput, compression ratio vs the
-// TSV release format, and the streamed-vs-in-memory parity gate (Figs 1-3,
-// Table 8, the §5.1 summary), emitted as BENCH_store.json.
+// Capture-store lane: shard write/read throughput, the frame checksum's
+// CRC-32 throughput, compression ratio vs the TSV release format, and the
+// streamed-vs-in-memory parity gate (Figs 1-3, Table 8, the §5.1 summary),
+// emitted as BENCH_store.json.
 //
 // Knobs:
 //   IOTLS_THREADS       fan-out width for write/fold (0 = hardware)
@@ -17,6 +18,8 @@
 #include "analysis/revocation.hpp"
 #include "analysis/summary.hpp"
 #include "bench_util.hpp"
+#include "common/rng.hpp"
+#include "store/format.hpp"
 #include "store/io.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
@@ -33,6 +36,24 @@ struct Artifacts {
   bool operator==(const Artifacts&) const = default;
 };
 
+/// Best of `passes` CRC-32 passes over a fixed, seeded 1 MiB buffer: the
+/// checksum every shard frame pays on write and on read.
+iotls::bench::Throughput crc32_throughput(int passes) {
+  const iotls::common::Bytes input =
+      iotls::common::Rng(0xC3C32).bytes(std::size_t{1} << 20);
+  iotls::bench::Throughput best;
+  for (int pass = 0; pass < passes; ++pass) {
+    const auto tp = iotls::bench::timed_throughput([&] {
+      volatile std::uint32_t sink = iotls::store::crc32(input);
+      (void)sink;
+      return std::make_pair(std::uint64_t{0},
+                            static_cast<std::uint64_t>(input.size()));
+    });
+    if (pass == 0 || tp.wall_ms < best.wall_ms) best = tp;
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -41,6 +62,8 @@ int main(int argc, char** argv) {
   const bool per_device =
       iotls::common::strict_env_long("IOTLS_BENCH_LAYOUT", 0) != 0;
   const iotls::obs::WallTimer total;
+
+  const iotls::bench::Throughput crc_tp = crc32_throughput(32);
 
   iotls::core::IotlsStudy study(options);
   const auto& dataset = study.passive_dataset();
@@ -124,6 +147,7 @@ int main(int argc, char** argv) {
               per_device ? "per-device" : "single", report.shards.size());
   iotls::bench::print_throughput("write", write_tp);
   iotls::bench::print_throughput("read", read_tp);
+  iotls::bench::print_throughput("crc32", crc_tp);
   std::printf("%-24s %12llu bytes (TSV %llu, ratio %.2fx)\n", "store_size",
               static_cast<unsigned long long>(report.total_bytes()),
               static_cast<unsigned long long>(tsv_bytes), ratio);
@@ -145,6 +169,7 @@ int main(int argc, char** argv) {
       {"write_bytes", write_tp.mib_per_sec(), "MiB/s"},
       {"read_records", read_tp.records_per_sec(), "records/s"},
       {"read_bytes", read_tp.mib_per_sec(), "MiB/s"},
+      {"crc32_mib_per_s", crc_tp.mib_per_sec(), "MiB/s"},
       {"store_bytes", static_cast<double>(report.total_bytes()), "bytes"},
       {"tsv_bytes", static_cast<double>(tsv_bytes), "bytes"},
       {"compression_ratio", ratio, "x_vs_tsv"},

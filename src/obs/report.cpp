@@ -42,7 +42,13 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.push_back('"');
+  out.append(escaped);
+  out.push_back('"');
+  return out;
 }
 
 }  // namespace

@@ -356,7 +356,8 @@ std::string render_table(const QueryResult& result) {
   common::TextTable table(result.columns);
   for (const auto& row : result.rows) table.add_row(row);
   std::string out = table.render();
-  out += "\n" + std::to_string(result.stats.rows_matched) + " of " +
+  out += '\n';
+  out += std::to_string(result.stats.rows_matched) + " of " +
          std::to_string(result.stats.rows_scanned) + " rows matched (" +
          std::to_string(result.stats.connections_matched) +
          " connections); scanned " +

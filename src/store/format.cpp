@@ -4,18 +4,36 @@ namespace iotls::store {
 
 namespace {
 
+/// CRC-32/IEEE (reflected, polynomial 0xEDB88320) sliced by 16:
+/// `slices[k][b]` is the CRC register contribution of byte `b` followed by
+/// `k` zero bytes, so one step folds sixteen input bytes with sixteen
+/// independent lookups. `slices[0]` is the classic bytewise table.
 struct Crc32Table {
-  std::array<std::uint32_t, 256> entries;
+  std::array<std::array<std::uint32_t, 256>, 16> slices;
   Crc32Table() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      slices[0][i] = c;
+    }
+    for (std::size_t k = 1; k < slices.size(); ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = slices[k - 1][i];
+        slices[k][i] = (prev >> 8) ^ slices[0][prev & 0xFFu];
+      }
     }
   }
 };
+
+/// Little-endian load from bytes: the span may be unaligned.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 common::Month read_month(common::ByteReader& reader) {
   common::Month m;
@@ -37,9 +55,24 @@ void write_month(common::ByteWriter& writer, common::Month m) {
 
 std::uint32_t crc32(common::BytesView data) {
   static const Crc32Table table;
+  const auto& t = table.slices;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table.entries[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint32_t a = load_le32(p) ^ crc;
+    const std::uint32_t b = load_le32(p + 4);
+    const std::uint32_t c = load_le32(p + 8);
+    const std::uint32_t d = load_le32(p + 12);
+    crc = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^
+          t[13][(a >> 16) & 0xFFu] ^ t[12][a >> 24] ^ t[11][b & 0xFFu] ^
+          t[10][(b >> 8) & 0xFFu] ^ t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^
+          t[7][c & 0xFFu] ^ t[6][(c >> 8) & 0xFFu] ^ t[5][(c >> 16) & 0xFFu] ^
+          t[4][c >> 24] ^ t[3][d & 0xFFu] ^ t[2][(d >> 8) & 0xFFu] ^
+          t[1][(d >> 16) & 0xFFu] ^ t[0][d >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

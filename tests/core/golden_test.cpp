@@ -2,16 +2,20 @@
 //
 // Each case renders one deterministic output — handshake wire logs and
 // ClientResult fields, a reduced study's Table 7 + Table 9, a passive
-// dataset release, a root-store probe — and compares its digest against a
-// committed value. Comparing two runs of the same code catches scheduling
-// leaks; only an absolute digest catches a change that moves both runs
-// together (a reordered Rng draw, a different record, a new alert).
+// dataset release and the store shards written from it, a root-store
+// probe — and compares its digest against a committed value. Comparing two
+// runs of the same code catches scheduling leaks; only an absolute digest
+// catches a change that moves both runs together (a reordered Rng draw, a
+// different record, a new alert).
 //
 // A digest change is a behaviour change. Re-bless a digest only in a
 // change that means to alter that output, and say why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +26,8 @@
 #include "crypto/sha256.hpp"
 #include "pki/ca.hpp"
 #include "probe/prober.hpp"
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "testbed/longitudinal.hpp"
 #include "testbed/testbed.hpp"
 #include "tls/client.hpp"
@@ -42,6 +48,11 @@ constexpr const char* kStudyTables7And9 =
     "3723e0e04bfbf20eced5e1d59e11f0b5855f57aa17a84458f93ad2fc6c83f2c8";
 constexpr const char* kPassiveDatasetTsv =
     "7dc290c621c03fcd698da721834aa7233b5bb15b61a46222625664b8bf2e687c";
+// Recorded with the bytewise-table CRC-32 kernel, before the frame
+// checksum moved to slicing-by-16: every frame CRC is covered, so the
+// digest pins the checksum in absolute terms, not only writer vs reader.
+constexpr const char* kReducedStoreShards =
+    "8f9c049a99da36c0c8deb135a06683f6efec2b98c8d21f218c911c54fb637599";
 constexpr const char* kProbeVerdict =
     "present fatal/unknown_ca fatal/decrypt_error";
 
@@ -174,19 +185,54 @@ TEST(Golden, ReducedStudyTables7And9) {
             kStudyTables7And9);
 }
 
-TEST(Golden, PassiveDatasetTsv) {
+/// A three-device, three-month passive dataset at 1% of paper scale.
+testbed::GeneratorOptions reduced_passive_options(std::size_t threads) {
   testbed::GeneratorOptions gen;
   gen.seed = 31337;
   gen.count_scale = 0.01;
   gen.first = common::Month{2019, 1};
   gen.last = common::Month{2019, 3};
   gen.devices = {"Wemo Plug", "Nest Thermostat", "Yi Camera"};
+  gen.threads = threads;
+  return gen;
+}
+
+TEST(Golden, PassiveDatasetTsv) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    gen.threads = threads;
     EXPECT_EQ(sha256_hex(testbed::dataset_to_tsv(
-                  testbed::generate_passive_dataset(gen))),
+                  testbed::generate_passive_dataset(
+                      reduced_passive_options(threads)))),
               kPassiveDatasetTsv)
         << "threads " << threads;
+  }
+}
+
+TEST(Golden, ReducedStoreShards) {
+  namespace fs = std::filesystem;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("iotls_golden_store_t" + std::to_string(threads)))
+            .string();
+    fs::remove_all(dir);
+    // One shard per device and small blocks: several frames per shard.
+    store::StoreOptions options;
+    options.layout = store::ShardLayout::PerDevice;
+    options.block_bytes = 4096;
+    options.threads = threads;
+    options.seed = 31337;
+    (void)store::write_store(
+        testbed::generate_passive_dataset(reduced_passive_options(threads)),
+        dir, options);
+    std::string files;
+    for (const std::string& path : store::list_shards(dir)) {
+      std::ifstream in(path, std::ios::binary);
+      files += fs::path(path).filename().string() + "\n";
+      files.append(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    fs::remove_all(dir);
+    EXPECT_EQ(sha256_hex(files), kReducedStoreShards) << "threads " << threads;
   }
 }
 

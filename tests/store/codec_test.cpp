@@ -1,6 +1,7 @@
-// Codec hardening: varint edge cases, dictionary behavior, and a
-// seed-driven property sweep (>1000 cases) proving encode→decode is the
-// identity and encoding is byte-deterministic.
+// Codec hardening: varint edge cases, dictionary behavior, a seed-driven
+// property sweep (>1000 cases) proving encode→decode is the identity and
+// encoding is byte-deterministic, and the frame checksum against known
+// answers and a bitwise reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +24,44 @@ using iotls::store::ShardHeader;
 using iotls::store::StoreFormatError;
 using iotls::store::StringDictionary;
 using iotls::testbed::PassiveConnectionGroup;
+
+/// CRC-32/IEEE one bit at a time, with no table: the reference the
+/// table-driven kernel must agree with.
+std::uint32_t crc32_bitwise(BytesView data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(iotls::store::crc32(BytesView{}), 0x00000000u);
+  const Bytes check = iotls::common::to_bytes("123456789");
+  EXPECT_EQ(iotls::store::crc32(BytesView(check)), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  iotls::common::Rng rng(0xC3C32);
+  const Bytes buffer = rng.bytes(1100 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1100; ++length) {
+      const BytesView view(buffer.data() + offset, length);
+      ASSERT_EQ(iotls::store::crc32(view), crc32_bitwise(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnAMebibyte) {
+  iotls::common::Rng rng(0xC3C33);
+  const Bytes buffer = rng.bytes((std::size_t{1} << 20) + 7);
+  EXPECT_EQ(iotls::store::crc32(BytesView(buffer)),
+            crc32_bitwise(BytesView(buffer)));
+}
 
 TEST(Varint, RoundTripsEdgeValues) {
   const std::uint64_t cases[] = {0,

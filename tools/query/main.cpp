@@ -6,8 +6,8 @@
 //               [--no-pushdown] [--explain] [--oracle]
 //
 // Examples:
-//   iotls-query store/ --filter 'vendor == "Amazon" and complete == true' \
-//               --group-by month,version --format table
+//   iotls-query store/ --group-by month,version --format table
+//               --filter 'vendor == "Amazon" and complete == true'
 //   iotls-query store/ --filter 'adv_suite contains TLS_RSA_WITH_RC4_128_SHA'
 //
 // Exit codes: 0 success, 1 store/filter error (typed class name printed),
