@@ -1,11 +1,11 @@
 // Crypto benchmark lane: times the primitives the modexp kernel
 // accelerates (crypto/mont64.hpp: modexp per modulus size, key generation,
-// RSA-CRT private ops, signature verification with and without
-// memoisation, SHA-256 streaming) plus a reduced full-study wall clock
-// with caches on vs off, and writes the results as machine-readable JSON
-// for CI trending. The `*_montgomery` lane names predate the one-kernel
-// tree and are kept so the trajectory stays comparable; they time the
-// same kernel as every other lane.
+// RSA-CRT private ops, signature verification, SHA-256 streaming) plus a
+// reduced full-study wall clock with the keypair memo off vs on, and
+// writes the results as machine-readable JSON for CI trending. The
+// `*_montgomery` lane names predate the one-kernel tree and are kept so
+// the trajectory stays comparable; they time the same kernel as every
+// other lane.
 //
 // Knobs:
 //   IOTLS_BENCH_ITERS        inner-loop repetitions (default 20; CI uses a
@@ -14,8 +14,6 @@
 //                            private op beats the seed path (plain
 //                            square-and-multiply on d) by at least this
 //                            factor — the CI regression gate
-//   IOTLS_CRYPTO_CACHE       inherited by the library; the bench toggles the
-//                            switch itself for the cached/uncached splits
 //
 // Usage: bench_crypto [output.json]   (default ./BENCH_crypto.json)
 #include <chrono>
@@ -28,7 +26,6 @@
 #include "common/rng.hpp"
 #include "core/study.hpp"
 #include "crypto/bignum.hpp"
-#include "crypto/cache.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "pki/universe.hpp"
@@ -51,7 +48,8 @@ double time_ms(std::size_t iters, Fn&& fn) {
 }
 
 /// Reduced-universe study (same shape as the determinism tests): enough
-/// devices and months to exercise every cache, small enough to run in CI.
+/// devices and months to exercise the keypair memo, small enough to run
+/// in CI.
 double reduced_study_wall_ms(const iotls::pki::CaUniverse& universe) {
   iotls::core::IotlsStudy::Options opts;
   opts.seed = 42;
@@ -191,16 +189,6 @@ int main(int argc, char** argv) {
          }),
          "ms/op");
 
-  iotls::crypto::set_crypto_cache_enabled(true);
-  iotls::crypto::crypto_caches_clear();
-  (void)iotls::crypto::rsa_verify(key512.pub, message, signature);  // warm
-  record("verify_512_cached", time_ms(iters * 4, [&](std::size_t) {
-           volatile bool sink =
-               iotls::crypto::rsa_verify(key512.pub, message, signature);
-           (void)sink;
-         }),
-         "ms/op");
-
   // --- SHA-256 streaming throughput. ---
   const iotls::common::Bytes blob(1 << 20, 0xA5);
   const double sha_ms = time_ms(std::max<std::size_t>(iters, 8), [&](std::size_t) {
@@ -210,11 +198,11 @@ int main(int argc, char** argv) {
   record("sha256_1mib", sha_ms, "ms/op");
   record("sha256_throughput", 1000.0 / sha_ms, "MiB/s");
 
-  // --- Reduced full-study wall clock, caches off vs on. ---
-  // One shared universe built outside the timed region (cache-off study
+  // --- Reduced full-study wall clock, keypair memo off vs on. ---
+  // One shared universe built outside the timed region (memo-off study
   // construction would otherwise dominate with key generation).
   iotls::crypto::set_crypto_cache_enabled(true);
-  iotls::crypto::crypto_caches_clear();
+  iotls::crypto::crypto_cache_clear();
   iotls::pki::CaUniverse::Options uopts;
   uopts.common_count = 30;
   uopts.deprecated_count = 58;
@@ -223,7 +211,7 @@ int main(int argc, char** argv) {
   iotls::crypto::set_crypto_cache_enabled(false);
   record("study_wall_cache_off", reduced_study_wall_ms(universe), "ms");
   iotls::crypto::set_crypto_cache_enabled(true);
-  iotls::crypto::crypto_caches_clear();
+  iotls::crypto::crypto_cache_clear();
   record("study_wall_cache_on", reduced_study_wall_ms(universe), "ms");
 
   // --- Emit JSON + observability artifacts. ---

@@ -1,4 +1,4 @@
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for bench_repro and the bench lanes.
 #pragma once
 
 #include <chrono>
@@ -13,12 +13,11 @@
 
 namespace iotls::bench {
 
-// The strict knob parser moved to common/env.hpp so library code
-// (crypto's IOTLS_CRYPTO_CACHE switch) shares the same semantics; keep
-// the old name visible for the bench binaries.
+// The strict knob parser lives in common/env.hpp, shared with the tools;
+// keep the old name visible for the bench binaries.
 using common::strict_env_long;
 
-/// Standard study options for reproduction binaries: full passive window,
+/// Standard study options for bench_repro: full passive window,
 /// paper-scale connection counts. Environment knobs:
 ///   IOTLS_THREADS  per-device fan-out width (0 = hardware concurrency,
 ///                  1 = serial); outputs are byte-identical either way.

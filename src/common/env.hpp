@@ -1,5 +1,5 @@
-// Strict environment-knob parsing, shared by the library (IOTLS_CRYPTO_CACHE)
-// and the bench binaries (IOTLS_THREADS, IOTLS_TRACE, IOTLS_METRICS, ...).
+// Strict environment-knob parsing for the tools and bench binaries
+// (IOTLS_THREADS, IOTLS_TRACE, IOTLS_METRICS, ...); the libraries read none.
 #pragma once
 
 #include <cerrno>

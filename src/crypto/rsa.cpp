@@ -1,12 +1,13 @@
 #include "crypto/rsa.hpp"
 
 #include <array>
+#include <atomic>
 #include <mutex>
 #include <unordered_map>
 
 #include "common/rng.hpp"
-#include "crypto/cache.hpp"
 #include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
 namespace iotls::crypto {
@@ -121,13 +122,15 @@ RsaKeyPair rsa_generate_impl(common::Rng& rng, std::size_t bits) {
   }
 }
 
-// ---- keypair cache ----
+// ---- keypair memo ----
 //
 // Keyed by (generator state, modulus bits): the generation is a pure
 // function of those, so a hit can return the memoised pair and fast-forward
 // the generator to the memoised post-generation state — downstream draws
 // (serial prefixes, later CAs on the same stream) are byte-identical either
 // way. Sharded + mutex-guarded: sandboxes generate concurrently.
+
+std::atomic<bool> g_cache_enabled{true};
 
 struct KeypairKey {
   common::Rng::State state;
@@ -169,16 +172,35 @@ KeypairShard& keypair_shard(const KeypairKey& key) {
   return keypair_shards()[KeypairKeyHash{}(key) % kKeypairShards];
 }
 
+// No-op while obs::metrics_enabled() is off, like the other
+// instrumentation sites.
+void count_keypair_lookup(bool hit) {
+  if (!obs::metrics_enabled()) return;
+  obs::MetricsRegistry::global()
+      .counter(hit ? "iotls_crypto_cache_hits_total"
+                   : "iotls_crypto_cache_misses_total",
+               hit ? "Crypto memoisation hits by cache"
+                   : "Crypto memoisation misses by cache",
+               "cache", "keypair")
+      .inc();
+}
+
 }  // namespace
 
-namespace detail {
-void keypair_cache_clear() {
+bool crypto_cache_enabled() {
+  return g_cache_enabled.load(std::memory_order_relaxed);
+}
+
+void set_crypto_cache_enabled(bool enabled) {
+  g_cache_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+void crypto_cache_clear() {
   for (KeypairShard& shard : keypair_shards()) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.map.clear();
   }
 }
-}  // namespace detail
 
 RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
   if (bits < 128) throw common::CryptoError("rsa_generate: modulus too small");
@@ -191,11 +213,11 @@ RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits) {
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       rng.set_state(it->second.post_state);
-      count_cache_hit("keypair");
+      count_keypair_lookup(true);
       return it->second.pair;
     }
   }
-  count_cache_miss("keypair");
+  count_keypair_lookup(false);
   RsaKeyPair pair = rsa_generate_impl(rng, bits);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -240,21 +262,6 @@ common::Bytes emsa_encode(common::BytesView message, std::size_t em_len) {
   return em;
 }
 
-bool rsa_verify_impl(const RsaPublicKey& key, common::BytesView message,
-                     common::BytesView signature, std::size_t k) {
-  const BigUint s = BigUint::from_bytes(signature);
-  if (s >= key.n) return false;
-  const BigUint m = s.modexp(key.e, key.n);
-  common::Bytes em;
-  try {
-    em = m.to_bytes(k);
-  } catch (const common::CryptoError&) {
-    return false;
-  }
-  const common::Bytes expected = emsa_encode(message, k);
-  return common::constant_time_equal(em, expected);
-}
-
 }  // namespace
 
 common::Bytes rsa_sign(const RsaPrivateKey& key, common::BytesView message) {
@@ -270,34 +277,20 @@ bool rsa_verify(const RsaPublicKey& key, common::BytesView message,
   // Signatures are exactly k bytes (rsa_sign zero-pads to the modulus
   // width, so a leading zero byte is legitimate); any other length —
   // including a non-minimal k+1-byte encoding with an extra leading zero —
-  // is rejected before touching the bignum layer. For the accepted width,
-  // BigUint::from_bytes ∘ to_bytes(k) round-trips the buffer bit-for-bit,
-  // so the cache key below and the modexp below see the same canonical
-  // value regardless of leading zeros.
+  // is rejected before touching the bignum layer.
   const std::size_t k = (key.n.bit_length() + 7) / 8;
   if (signature.size() != k) return false;
-
-  if (!crypto_cache_enabled()) {
-    return rsa_verify_impl(key, message, signature, k);
+  const BigUint s = BigUint::from_bytes(signature);
+  if (s >= key.n) return false;
+  const BigUint m = s.modexp(key.e, key.n);
+  common::Bytes em;
+  try {
+    em = m.to_bytes(k);
+  } catch (const common::CryptoError&) {
+    return false;
   }
-
-  Sha256 h;
-  common::ByteWriter prefix;
-  prefix.vec(key.n.to_bytes(), 2);
-  prefix.vec(key.e.to_bytes(), 2);
-  h.update(prefix.bytes());
-  const Sha256Digest msg_digest = Sha256::digest(message);
-  const Sha256Digest sig_digest = Sha256::digest(signature);
-  h.update(msg_digest);
-  h.update(sig_digest);
-  const DigestCache::Key cache_key = h.finish();
-
-  if (const auto cached = sig_verify_cache().lookup(cache_key)) {
-    return *cached != 0;
-  }
-  const bool ok = rsa_verify_impl(key, message, signature, k);
-  sig_verify_cache().store(cache_key, ok ? 1 : 0);
-  return ok;
+  const common::Bytes expected = emsa_encode(message, k);
+  return common::constant_time_equal(em, expected);
 }
 
 common::Bytes rsa_encrypt(const RsaPublicKey& key, common::Rng& rng,

@@ -76,11 +76,21 @@ struct RsaKeyPair {
 };
 
 /// Generate an RSA keypair with the given modulus size. Memoised through
-/// the process-wide keypair cache (crypto/cache.hpp): results are keyed by
-/// the generator's state, so repeated constructions from the same derived
-/// seed (per-device sandbox rebuilds, repeated CA universes in tests) reuse
-/// one generation while consuming `rng` exactly as an uncached call would.
+/// the process-wide keypair memo: results are keyed by the generator's
+/// state, so repeated constructions from the same derived seed (per-device
+/// sandbox rebuilds, repeated CA universes in tests) reuse one generation
+/// while consuming `rng` exactly as an uncached call would. Hits and misses
+/// count as iotls_crypto_cache_{hits,misses}_total{cache="keypair"}.
 RsaKeyPair rsa_generate(common::Rng& rng, std::size_t bits = kDefaultRsaBits);
+
+/// The keypair memo's switch, on by default. Turning it off runs the
+/// uncached reference generation that tests and bench_crypto compare
+/// against; outputs are byte-identical either way.
+bool crypto_cache_enabled();
+void set_crypto_cache_enabled(bool enabled);
+
+/// Drop every memoised keypair; they re-derive identically afterwards.
+void crypto_cache_clear();
 
 /// The RSA private-key primitive c^d mod n, via CRT when the key carries
 /// its factorisation (Garner recombination) and the plain d-exponent path

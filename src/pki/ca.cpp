@@ -6,7 +6,7 @@ CertificateAuthority::CertificateAuthority(x509::DistinguishedName subject,
                                            common::Rng& seed_rng,
                                            x509::Validity validity,
                                            std::size_t key_bits)
-    // rsa_generate memoises on the seed generator's state (crypto/cache.hpp),
+    // rsa_generate memoises on the seed generator's state (crypto/rsa.hpp),
     // so rebuilding the same CA universe — every test and per-device sandbox
     // does — reuses the keypair AND leaves seed_rng exactly where a fresh
     // generation would: the serial prefix drawn next is byte-identical.

@@ -64,7 +64,7 @@ void CaUniverse::add_ca(const std::string& name, common::Rng& rng,
 
 CaUniverse::CaUniverse(Options opts) : opts_(opts) {
   // All CAs draw from one sequential stream. That still caches well:
-  // rsa_generate's state-keyed memoisation (crypto/cache.hpp) replays each
+  // rsa_generate's state-keyed keypair memo (crypto/rsa.hpp) replays each
   // generation from the exact stream position it was first seen at, so a
   // rebuilt universe with the same seed hits on every CA in order.
   common::Rng rng = common::Rng::derive(opts_.seed, "ca-universe");

@@ -89,7 +89,7 @@ void CloudFarm::add_destination(const std::string& hostname,
   // Server keys are derived from the hostname alone, so repeated testbed
   // constructions (tests, benches, per-device experiment sandboxes) reuse
   // one keypair per endpoint: rsa_generate memoises on the derived
-  // generator state (see crypto/cache.hpp), which replaced the hostname
+  // generator state (see crypto/rsa.hpp), which replaced the hostname
   // map this file used to keep.
   common::Rng key_rng =
       common::Rng::derive(0xC10DDCAFE, "srv-key:" + hostname);

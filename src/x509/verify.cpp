@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "crypto/cache.hpp"
-#include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 
 namespace iotls::x509 {
@@ -53,54 +51,24 @@ const Certificate* find_anchor(std::span<const Certificate> anchors,
   return it == anchors.end() ? nullptr : &*it;
 }
 
-/// The per-call state the expensive stages depend on, computed once: the
-/// effective chain (presented self-signed root dropped when the store has
-/// it) and, when signatures are checked, the issuer key each certificate
-/// verifies under. Two trust stores that resolve the same issuer keys are
-/// interchangeable for verification — which is exactly what lets the chain
-/// cache key on the *resolved* keys instead of hashing the whole store.
-struct ResolvedChain {
-  std::span<const Certificate> certs;
-  /// Parallel to `certs` while resolution succeeds; a trailing nullptr
-  /// marks the first UnknownIssuer (resolution stops there). Empty when
-  /// the policy skips signature checks.
-  std::vector<const crypto::RsaPublicKey*> issuer_keys;
-};
+VerifyResult verify_impl(std::span<const Certificate> chain,
+                         std::string_view hostname,
+                         std::span<const Certificate> trust_anchors,
+                         common::SimDate now, const VerifyPolicy& policy) {
+  if (!policy.validate) return VerifyResult{};
+  if (chain.empty()) return VerifyResult{VerifyError::EmptyChain, -1};
 
-ResolvedChain resolve_chain(std::span<const Certificate> chain,
-                            std::span<const Certificate> trust_anchors,
-                            const VerifyPolicy& policy) {
-  ResolvedChain resolved;
-  std::size_t effective_len = chain.size();
-  if (effective_len > 1 && chain[effective_len - 1].is_self_signed() &&
-      find_anchor(trust_anchors, chain[effective_len - 1].tbs.subject)) {
-    --effective_len;
+  // A presented self-signed root the store also holds is dropped before
+  // any stage runs, so the certificate below it verifies under the
+  // store's key, never the presented one.
+  std::span<const Certificate> certs = chain;
+  if (certs.size() > 1 && certs.back().is_self_signed() &&
+      find_anchor(trust_anchors, certs.back().tbs.subject)) {
+    certs = certs.first(certs.size() - 1);
   }
-  resolved.certs = chain.first(effective_len);
 
-  if (policy.check_signature) {
-    for (std::size_t i = 0; i < resolved.certs.size(); ++i) {
-      const Certificate& cert = resolved.certs[i];
-      const crypto::RsaPublicKey* issuer_key = nullptr;
-      if (i + 1 < resolved.certs.size() &&
-          resolved.certs[i + 1].tbs.subject == cert.tbs.issuer) {
-        issuer_key = &resolved.certs[i + 1].tbs.subject_public_key;
-      } else if (const Certificate* anchor =
-                     find_anchor(trust_anchors, cert.tbs.issuer)) {
-        issuer_key = &anchor->tbs.subject_public_key;
-      }
-      resolved.issuer_keys.push_back(issuer_key);
-      if (issuer_key == nullptr) break;
-    }
-  }
-  return resolved;
-}
-
-VerifyResult verify_resolved(const ResolvedChain& resolved,
-                             std::string_view hostname, common::SimDate now,
-                             const VerifyPolicy& policy) {
-  const std::span<const Certificate> certs = resolved.certs;
-
+  // The stages run in a fixed order and stop at the first failure;
+  // trace_checks rebuilds every stage's status from that order.
   if (policy.check_validity) {
     for (std::size_t i = 0; i < certs.size(); ++i) {
       if (now < certs[i].tbs.validity.not_before) {
@@ -114,11 +82,16 @@ VerifyResult verify_resolved(const ResolvedChain& resolved,
 
   if (policy.check_signature) {
     for (std::size_t i = 0; i < certs.size(); ++i) {
-      if (resolved.issuer_keys[i] == nullptr) {
+      const Certificate& cert = certs[i];
+      const Certificate* issuer =
+          i + 1 < certs.size() && certs[i + 1].tbs.subject == cert.tbs.issuer
+              ? &certs[i + 1]
+              : find_anchor(trust_anchors, cert.tbs.issuer);
+      if (issuer == nullptr) {
         return VerifyResult{VerifyError::UnknownIssuer, static_cast<int>(i)};
       }
-      if (!crypto::rsa_verify(*resolved.issuer_keys[i],
-                              certs[i].tbs.serialize(), certs[i].signature)) {
+      if (!crypto::rsa_verify(issuer->tbs.subject_public_key,
+                              cert.tbs.serialize(), cert.signature)) {
         return VerifyResult{VerifyError::BadSignature, static_cast<int>(i)};
       }
     }
@@ -147,90 +120,6 @@ VerifyResult verify_resolved(const ResolvedChain& resolved,
   }
 
   return VerifyResult{};
-}
-
-// ---- chain-verification cache ----
-//
-// The full pipeline over a resolved chain is a pure function of: the
-// effective certificates, the issuer keys they verify under, the policy
-// knobs, the hostname, and — for validity — only *where* `now` sits
-// relative to each certificate's window (before / within / after). Keying
-// on that tristate instead of the raw date means a chain verified on many
-// simulated days hits the same entry while it stays inside (or outside)
-// its window, yet crossing not_before/not_after lands in a fresh slot —
-// expiry semantics are untouched.
-
-std::uint64_t pack_result(const VerifyResult& result) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint8_t>(result.error))
-          << 32) |
-         static_cast<std::uint32_t>(result.failed_depth);
-}
-
-VerifyResult unpack_result(std::uint64_t packed) {
-  VerifyResult result;
-  result.error =
-      static_cast<VerifyError>(static_cast<std::uint8_t>(packed >> 32));
-  result.failed_depth =
-      static_cast<int>(static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(packed)));
-  return result;
-}
-
-crypto::DigestCache::Key chain_cache_key(const ResolvedChain& resolved,
-                                         std::string_view hostname,
-                                         common::SimDate now,
-                                         const VerifyPolicy& policy) {
-  common::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(
-      (policy.check_signature ? 1U : 0U) |
-      (policy.check_hostname ? 2U : 0U) |
-      (policy.check_basic_constraints ? 4U : 0U) |
-      (policy.check_validity ? 8U : 0U)));
-  w.str(hostname, 2);
-  w.u8(static_cast<std::uint8_t>(resolved.certs.size()));
-  for (const Certificate& cert : resolved.certs) {
-    w.vec(cert.serialize(), 3);
-    // Validity tristate: 0 = before the window, 1 = inside, 2 = after.
-    std::uint8_t tristate = 1;
-    if (now < cert.tbs.validity.not_before) {
-      tristate = 0;
-    } else if (now > cert.tbs.validity.not_after) {
-      tristate = 2;
-    }
-    w.u8(tristate);
-  }
-  w.u8(static_cast<std::uint8_t>(resolved.issuer_keys.size()));
-  for (const crypto::RsaPublicKey* key : resolved.issuer_keys) {
-    if (key == nullptr) {
-      w.u8(0);
-    } else {
-      w.u8(1);
-      w.vec(key->serialize(), 2);
-    }
-  }
-  return crypto::Sha256::digest(w.bytes());
-}
-
-VerifyResult verify_impl(std::span<const Certificate> chain,
-                         std::string_view hostname,
-                         std::span<const Certificate> trust_anchors,
-                         common::SimDate now, const VerifyPolicy& policy) {
-  if (!policy.validate) return VerifyResult{};
-  if (chain.empty()) return VerifyResult{VerifyError::EmptyChain, -1};
-
-  const ResolvedChain resolved = resolve_chain(chain, trust_anchors, policy);
-
-  if (!crypto::crypto_cache_enabled()) {
-    return verify_resolved(resolved, hostname, now, policy);
-  }
-  const crypto::DigestCache::Key key =
-      chain_cache_key(resolved, hostname, now, policy);
-  if (const auto cached = crypto::chain_verify_cache().lookup(key)) {
-    return unpack_result(*cached);
-  }
-  const VerifyResult result = verify_resolved(resolved, hostname, now, policy);
-  crypto::chain_verify_cache().store(key, pack_result(result));
-  return result;
 }
 
 struct VerifyMetrics {

@@ -1,14 +1,13 @@
-// The crypto cache determinism contract: memoisation (keypair, signature,
-// chain caches) must be a pure accelerator — reduced-universe study tables
-// byte-identical with caches on vs off, and across thread counts with
-// caches on. Mirrors obs_determinism_test, which makes the same promise
-// for tracing.
+// The keypair memo's determinism contract: it must be a pure accelerator —
+// reduced-universe study tables byte-identical with the memo on vs off,
+// and across thread counts with it on. Mirrors obs_determinism_test, which
+// makes the same promise for tracing.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/study.hpp"
-#include "crypto/cache.hpp"
+#include "crypto/rsa.hpp"
 
 namespace iotls::core {
 namespace {
@@ -20,9 +19,9 @@ pki::CaUniverse small_universe() {
   return pki::CaUniverse(opts);
 }
 
-/// Universe + study + render under the CURRENT cache switch. The universe
+/// Universe + study + render under the CURRENT memo switch. The universe
 /// is built inside so key generation itself goes through (or around) the
-/// keypair cache — the comparison covers the whole pipeline.
+/// keypair memo — the comparison covers the whole pipeline.
 std::string render_tables(std::size_t threads) {
   const pki::CaUniverse universe = small_universe();
   IotlsStudy::Options opts;
@@ -43,11 +42,11 @@ class CryptoDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
     was_enabled_ = crypto::crypto_cache_enabled();
-    crypto::crypto_caches_clear();
+    crypto::crypto_cache_clear();
   }
   void TearDown() override {
     crypto::set_crypto_cache_enabled(was_enabled_);
-    crypto::crypto_caches_clear();
+    crypto::crypto_cache_clear();
   }
 
   bool was_enabled_ = true;
@@ -56,11 +55,11 @@ class CryptoDeterminismTest : public ::testing::Test {
 TEST_F(CryptoDeterminismTest, TablesIdenticalWithCachesOnVsOff) {
   crypto::set_crypto_cache_enabled(true);
   const std::string cached = render_tables(1);
-  // Warm tables now exist; a second cached run leans on them heavily.
+  // The memo is warm now; the second run replays its keypairs from it.
   const std::string warm = render_tables(1);
 
   crypto::set_crypto_cache_enabled(false);
-  crypto::crypto_caches_clear();
+  crypto::crypto_cache_clear();
   const std::string plain = render_tables(1);
 
   EXPECT_FALSE(plain.empty());

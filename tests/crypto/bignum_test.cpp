@@ -185,8 +185,8 @@ TEST(BigUint, GeneratePrimeHasRequestedBits) {
 TEST(BigUint, FromBytesToBytesRoundTripsFixedWidthWithLeadingZeros) {
   // Signature buffers are fixed-width (k = modulus bytes) and may start
   // with zero bytes; from_bytes ∘ to_bytes(k) must reproduce the buffer
-  // exactly — rsa_verify's cache key and the zero-leading-signature
-  // acceptance both ride on this.
+  // exactly — rsa_verify's acceptance of zero-leading signatures rides
+  // on this.
   common::Rng rng(61);
   for (int zeros = 0; zeros < 4; ++zeros) {
     for (int trial = 0; trial < 25; ++trial) {

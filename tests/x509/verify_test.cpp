@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/cache.hpp"
 #include "pki/ca.hpp"
 #include "pki/spoof.hpp"
 
@@ -22,6 +21,20 @@ class VerifyTest : public ::testing::Test {
   }
 
   static constexpr common::SimDate kNow{2021, 3, 1};
+
+  /// The InvalidBasicConstraints attack payload: a legitimate *leaf*
+  /// (CA=false) signs a new forged leaf. Chain order is {forged, leaf}.
+  std::vector<Certificate> leaf_signed_by_leaf() {
+    const auto mitm_leaf = ca_.issue_server_cert("attacker.example.com",
+                                                 attacker_keys_.pub);
+    x509::TbsCertificate forged_tbs;
+    forged_tbs.serial = {0x66};
+    forged_tbs.issuer = mitm_leaf.tbs.subject;
+    forged_tbs.subject = DistinguishedName::cn("device.example.com");
+    forged_tbs.subject_public_key = attacker_keys_.pub;
+    forged_tbs.extensions.subject_alt_names = {"device.example.com"};
+    return {issue_certificate(forged_tbs, attacker_keys_.priv), mitm_leaf};
+  }
 
   common::Rng rng_;
   pki::CertificateAuthority ca_;
@@ -87,40 +100,17 @@ TEST_F(VerifyTest, WrongHostnamePassesWithoutHostnameCheck) {
 }
 
 TEST_F(VerifyTest, LeafUsedAsCaViolatesBasicConstraints) {
-  // InvalidBasicConstraints attack: a legitimate *leaf* (CA=false) signs a
-  // new forged leaf.
-  const auto mitm_leaf = ca_.issue_server_cert("attacker.example.com",
-                                               attacker_keys_.pub);
-  x509::TbsCertificate forged_tbs;
-  forged_tbs.serial = {0x66};
-  forged_tbs.issuer = mitm_leaf.tbs.subject;
-  forged_tbs.subject = DistinguishedName::cn("device.example.com");
-  forged_tbs.subject_public_key = attacker_keys_.pub;
-  forged_tbs.extensions.subject_alt_names = {"device.example.com"};
-  const auto forged = issue_certificate(forged_tbs, attacker_keys_.priv);
-
-  const std::vector<Certificate> chain = {forged, mitm_leaf};
-  const auto res = verify_chain(chain, "device.example.com", anchors_, kNow);
+  const auto res = verify_chain(leaf_signed_by_leaf(), "device.example.com",
+                                anchors_, kNow);
   EXPECT_EQ(res.error, VerifyError::InvalidBasicConstraints);
   EXPECT_EQ(res.failed_depth, 1);
 }
 
 TEST_F(VerifyTest, BasicConstraintsSkippedWhenPolicyDisabled) {
-  const auto mitm_leaf = ca_.issue_server_cert("attacker.example.com",
-                                               attacker_keys_.pub);
-  x509::TbsCertificate forged_tbs;
-  forged_tbs.serial = {0x66};
-  forged_tbs.issuer = mitm_leaf.tbs.subject;
-  forged_tbs.subject = DistinguishedName::cn("device.example.com");
-  forged_tbs.subject_public_key = attacker_keys_.pub;
-  forged_tbs.extensions.subject_alt_names = {"device.example.com"};
-  const auto forged = issue_certificate(forged_tbs, attacker_keys_.priv);
-
   VerifyPolicy policy;
   policy.check_basic_constraints = false;
-  const std::vector<Certificate> chain = {forged, mitm_leaf};
-  const auto res =
-      verify_chain(chain, "device.example.com", anchors_, kNow, policy);
+  const auto res = verify_chain(leaf_signed_by_leaf(), "device.example.com",
+                                anchors_, kNow, policy);
   EXPECT_TRUE(res.ok());
 }
 
@@ -186,98 +176,63 @@ TEST_F(VerifyTest, EmptyHostnameSkipsHostnameCheck) {
   EXPECT_TRUE(res.ok());
 }
 
-// ---- chain-verification cache semantics ----
-//
-// The cache must be invisible except for speed: repeats agree, different
-// anchors/policies/validity windows land in distinct entries.
-
-class VerifyCacheTest : public VerifyTest {
- protected:
-  void SetUp() override {
-    was_enabled_ = crypto::crypto_cache_enabled();
-    crypto::set_crypto_cache_enabled(true);
-    crypto::crypto_caches_clear();
-  }
-  void TearDown() override {
-    crypto::set_crypto_cache_enabled(was_enabled_);
-    crypto::crypto_caches_clear();
-  }
-
-  bool was_enabled_ = true;
-};
-
-TEST_F(VerifyCacheTest, RepeatedVerificationsAgreeWithUncached) {
-  const std::vector<Certificate> chain = {leaf_};
-  const auto cold = verify_chain(chain, "device.example.com", anchors_, kNow);
-  const auto warm = verify_chain(chain, "device.example.com", anchors_, kNow);
-  crypto::set_crypto_cache_enabled(false);
-  const auto plain = verify_chain(chain, "device.example.com", anchors_, kNow);
-  EXPECT_EQ(cold.error, plain.error);
-  EXPECT_EQ(warm.error, plain.error);
-  EXPECT_EQ(warm.failed_depth, plain.failed_depth);
-  EXPECT_TRUE(plain.ok());
-}
-
-TEST_F(VerifyCacheTest, ValidityWindowCrossingsAreNotConflated) {
-  // Same chain verified on three sides of its window: before, inside,
-  // after. The cached entries must stay distinct — expiry semantics are
-  // the paper's Table 8 signal and may not be blurred by memoisation.
+TEST_F(VerifyTest, ValidityIsJudgedAtNow) {
+  // One chain verified before, inside and after its window: the verdict
+  // follows the simulated date.
   const auto cert = ca_.issue_server_cert("device.example.com",
                                           server_keys_.pub,
                                           Validity{{2020, 1, 1}, {2022, 1, 1}});
   const std::vector<Certificate> chain = {cert};
-  const auto before =
-      verify_chain(chain, "device.example.com", anchors_, {2019, 6, 1});
-  const auto inside =
-      verify_chain(chain, "device.example.com", anchors_, {2021, 6, 1});
-  const auto after =
-      verify_chain(chain, "device.example.com", anchors_, {2023, 6, 1});
-  EXPECT_EQ(before.error, VerifyError::NotYetValid);
-  EXPECT_TRUE(inside.ok());
-  EXPECT_EQ(after.error, VerifyError::Expired);
-  // Two dates inside the window share an entry; verdicts still correct.
-  const auto inside2 =
-      verify_chain(chain, "device.example.com", anchors_, {2021, 11, 30});
-  EXPECT_TRUE(inside2.ok());
-}
-
-TEST_F(VerifyCacheTest, DifferentAnchorStoresAreNotConfused) {
-  // A store that lacks our CA must keep failing even right after the same
-  // chain verified OK against the full store (and vice versa).
-  common::Rng rng(424);
-  pki::CertificateAuthority other_ca(DistinguishedName::cn("Other Root"),
-                                     rng);
-  const std::vector<Certificate> chain = {leaf_};
-  const std::vector<Certificate> wrong_store = {other_ca.root()};
-
-  EXPECT_TRUE(
-      verify_chain(chain, "device.example.com", anchors_, kNow).ok());
   EXPECT_EQ(
-      verify_chain(chain, "device.example.com", wrong_store, kNow).error,
-      VerifyError::UnknownIssuer);
+      verify_chain(chain, "device.example.com", anchors_, {2019, 6, 1}).error,
+      VerifyError::NotYetValid);
   EXPECT_TRUE(
-      verify_chain(chain, "device.example.com", anchors_, kNow).ok());
+      verify_chain(chain, "device.example.com", anchors_, {2021, 6, 1}).ok());
+  EXPECT_EQ(
+      verify_chain(chain, "device.example.com", anchors_, {2023, 6, 1}).error,
+      VerifyError::Expired);
 }
 
-TEST_F(VerifyCacheTest, PolicyVariationsGetDistinctEntries) {
-  const std::vector<Certificate> chain = {leaf_};
-  const auto strict =
-      verify_chain(chain, "wrong.example.com", anchors_, kNow);
-  const auto lax = verify_chain(chain, "wrong.example.com", anchors_, kNow,
-                                VerifyPolicy::no_hostname());
-  const auto strict_again =
-      verify_chain(chain, "wrong.example.com", anchors_, kNow);
-  EXPECT_EQ(strict.error, VerifyError::HostnameMismatch);
-  EXPECT_TRUE(lax.ok());
-  EXPECT_EQ(strict_again.error, VerifyError::HostnameMismatch);
-}
+TEST_F(VerifyTest, EarlierStageWinsWhenTwoStagesFail) {
+  // The stages run validity, signature, basic constraints, hostname and
+  // stop at the first failure; trace_checks rebuilds every stage's status
+  // from that order. Each chain here fails two stages and must report the
+  // earlier one, at its depth.
+  TbsCertificate bad_sig_tbs = leaf_.tbs;
+  bad_sig_tbs.validity = Validity{{2018, 1, 1}, {2019, 1, 1}};
+  const Certificate expired_and_badly_signed =
+      issue_certificate(bad_sig_tbs, attacker_keys_.priv);
 
-TEST_F(VerifyCacheTest, HostnamesGetDistinctEntries) {
-  const std::vector<Certificate> chain = {leaf_};
-  EXPECT_TRUE(
-      verify_chain(chain, "device.example.com", anchors_, kNow).ok());
-  EXPECT_EQ(verify_chain(chain, "evil.example.com", anchors_, kNow).error,
-            VerifyError::HostnameMismatch);
+  // A presented copy of the store's root, genuine but expired: it is
+  // dropped before the validity stage, so the chain still verifies.
+  const Certificate expired_root = make_self_signed_root(
+      ca_.root().tbs.subject, {0x01}, ca_.keypair(),
+      Validity{{2000, 1, 1}, {2001, 1, 1}});
+
+  struct Case {
+    const char* name;
+    std::vector<Certificate> chain;
+    const char* hostname;
+    VerifyError error;
+    int depth;
+  };
+  const Case cases[] = {
+      {"expired and badly signed", {expired_and_badly_signed},
+       "device.example.com", VerifyError::Expired, 0},
+      {"unknown issuer and wrong hostname",
+       {pki::make_self_signed_leaf("device.example.com", attacker_keys_)},
+       "other.example.com", VerifyError::UnknownIssuer, 0},
+      {"leaf-as-CA and wrong hostname", leaf_signed_by_leaf(),
+       "other.example.com", VerifyError::InvalidBasicConstraints, 1},
+      {"expired presented root in the store", {leaf_, expired_root},
+       "device.example.com", VerifyError::Ok, -1},
+  };
+  for (const Case& c : cases) {
+    const auto res = verify_chain(c.chain, c.hostname, anchors_, kNow);
+    EXPECT_EQ(verify_error_name(res.error), verify_error_name(c.error))
+        << c.name;
+    EXPECT_EQ(res.failed_depth, c.depth) << c.name;
+  }
 }
 
 TEST(VerifyErrorName, AllNamesDistinct) {
